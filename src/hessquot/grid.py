@@ -9,12 +9,16 @@ that ordering is the row ordering of the assembled sparse systems.
 Second derivatives use the 3-point second difference on the diagonal and
 the 4-point cross for mixed terms, both exact on quadratics; gradients
 use central differences.  Assembly is vectorized over interior nodes:
-node-level work shares no state, and the final gather into the sparse
-structure is the only synchronization point.
+node-level work shares no state.  Each grid builds its Jacobian sparsity
+pattern once (row pointers, column indices and the data slot of every
+stencil offset at every node); assembly accumulates per-offset weight
+arrays and fills the matrix data with one gather through that pattern.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -94,6 +98,105 @@ class Grid:
             [self.lo[a] + self.h[a] * node[a] for a in range(self.n)]
         )
 
+    @cached_property
+    def jacobian_pattern(self):
+        """CSR structure shared by every Jacobian assembled on this grid."""
+        return _StencilPattern(self.n, self.res - 2)
+
+    @cached_property
+    def sine_basis(self):
+        """Orthonormal, symmetric sine matrix S (m x m, m = res - 2) with
+        S[j, k] = sqrt(2/(m+1)) sin(pi (j+1) (k+1) / (m+1)).
+
+        Its columns are the eigenvectors of the 1-D Dirichlet second
+        difference on m interior nodes, so S @ S = I.  Every axis has m
+        interior nodes, so one matrix serves all axes.
+        """
+        m = self.res - 2
+        k = np.arange(1, m + 1)
+        return np.sqrt(2.0 / (m + 1)) * np.sin(np.pi * np.outer(k, k) / (m + 1))
+
+    @cached_property
+    def laplacian_eigenvalues(self):
+        """Eigenvalues of the interior Dirichlet Laplacian L (sum over axes of
+        the 3-point second difference / h_a^2), shape interior_shape, in the
+        basis that applies sine_basis along every axis."""
+        m = self.res - 2
+        k = np.arange(1, m + 1)
+        mu = -4.0 * np.sin(np.pi * k / (2.0 * (m + 1))) ** 2
+        out = np.zeros(self.interior_shape)
+        for a, ha in enumerate(self.h):
+            shape = [1] * self.n
+            shape[a] = m
+            out = out + (mu / ha**2).reshape(shape)
+        return out
+
+    @property
+    def laplacian_diagonal(self):
+        """The (constant) diagonal entry of L, -2 * sum_a 1/h_a^2."""
+        return -2.0 * float(np.sum(1.0 / self.h**2))
+
+    def laplacian_solve(self, v):
+        """L^{-1} v for a flat row-major interior vector v.
+
+        Exact up to rounding: transform to the sine basis, divide by the
+        eigenvalues, transform back.
+        """
+        S = self.sine_basis
+        w = _sine_transform(v, S, self.n)
+        w = w / self.laplacian_eigenvalues.reshape(-1)
+        return _sine_transform(w, S, self.n)
+
+
+def _sine_transform(v, S, n):
+    # Apply the symmetric m x m matrix S along every axis of the flat
+    # row-major (m,)*n array v.  Each step transforms the last axis and
+    # rotates it to the front (the transpose); after n steps every axis is
+    # transformed once and the axes are back in their original order.
+    m = S.shape[0]
+    for _ in range(n):
+        v = (v.reshape(-1, m) @ S).T
+    return v.reshape(-1)
+
+
+class _StencilPattern:
+    """Fixed CSR pattern of the interior Jacobian on an n-D grid with m
+    interior nodes per axis.
+
+    The stencil offsets are every o in {-1, 0, 1}^n with at most two
+    nonzero entries (9 in 2-D, 19 in 3-D), in lexicographic order, which
+    is also increasing column order within a row.  Assembly accumulates
+    one weight array per offset into a (len(offsets), N_int) block W;
+    ``W.reshape(-1)[gather]`` is then the CSR data.  Weights whose
+    neighbor is a boundary node have no slot and are not gathered.
+    """
+
+    def __init__(self, n, m):
+        self.offsets = [
+            o for o in itertools.product((-1, 0, 1), repeat=n)
+            if sum(map(abs, o)) <= 2
+        ]
+        self.slot = {o: k for k, o in enumerate(self.offsets)}
+        nint = m**n
+        node = np.indices((m,) * n).reshape(n, -1)
+        strides = m ** np.arange(n - 1, -1, -1)
+        off = np.array(self.offsets).T[:, :, None]  # (n, K, 1)
+        valid = np.all((node[:, None, :] + off >= 0) & (node[:, None, :] + off < m), axis=0)
+        row_ptr = np.concatenate(([0], np.cumsum(valid.sum(axis=0))))
+        nnz = int(row_ptr[-1])
+        dtype = np.int32 if nnz <= np.iinfo(np.int32).max else np.int64
+        k_idx, row = np.nonzero(valid)
+        # rank of each valid offset within its row, in offset order
+        rank = (np.cumsum(valid, axis=0) - 1)[k_idx, row]
+        pos = row_ptr[row] + rank
+        self.indptr = row_ptr.astype(dtype)
+        self.indices = np.empty(nnz, dtype=dtype)
+        self.indices[pos] = row + (strides @ off[:, :, 0])[k_idx]
+        self.gather = np.empty(nnz, dtype=np.intp)
+        self.gather[pos] = k_idx * nint + row
+        for arr in (self.indptr, self.indices, self.gather):
+            arr.flags.writeable = False
+
 
 @dataclass
 class GridFunction:
@@ -121,10 +224,17 @@ class GridFunction:
 
 @dataclass
 class SparseSystem:
-    """Row-compressed Jacobian over interior nodes plus right-hand side."""
+    """Row-compressed Jacobian over interior nodes plus right-hand side.
+
+    ``grid`` is the grid whose interior nodes the rows enumerate, when the
+    system was assembled on one (``assemble_jacobian`` sets it); it lets
+    the linear solve use the grid's Laplacian as a preconditioner.  None
+    for systems that carry no grid structure.
+    """
 
     matrix: sparse.csr_matrix
     rhs: np.ndarray
+    grid: Grid | None = None
 
 
 def sample_expression(e, grid, u=None, p=None):
@@ -324,22 +434,11 @@ def assemble_jacobian(u, prob, t, psi0=None, fields=None):
     Q = spec.tau * trG[..., None, None] * np.eye(n) - G
 
     nint = grid.num_interior
-    ids = np.arange(nint)
-    multi = np.stack(
-        np.unravel_index(ids, grid.interior_shape), axis=-1
-    ) + 1  # grid indices of interior nodes
-
-    rows, cols, data = [], [], []
+    pattern = grid.jacobian_pattern
+    W = np.zeros((len(pattern.offsets), nint))
 
     def add(offset, weights):
-        nb = multi + np.asarray(offset)
-        ok = np.all((nb >= 1) & (nb <= grid.res - 2), axis=-1)
-        if not np.any(ok):
-            return
-        flat = np.ravel_multi_index((nb[ok] - 1).T, grid.interior_shape)
-        rows.append(ids[ok])
-        cols.append(flat)
-        data.append(np.asarray(weights)[ok])
+        W[pattern.slot[tuple(offset)]] += weights
 
     # second-difference diagonal blocks
     center = np.zeros(nint)
@@ -376,21 +475,18 @@ def assemble_jacobian(u, prob, t, psi0=None, fields=None):
                     o = [0] * n
                     o[a] = s
                     add(o, -t * psi_p[:, a] * s / (2.0 * h[a]))
+    add([0] * n, center)
 
-    rows.append(ids)
-    cols.append(ids)
-    data.append(center)
-
-    matrix = sparse.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+    matrix = sparse.csr_matrix(
+        (W.reshape(-1)[pattern.gather], pattern.indices, pattern.indptr),
         shape=(nint, nint),
-    ).tocsr()
+    )
 
     if psi0 is None:
         rhs = np.zeros(nint)
     else:
         rhs = -(fields.values - _forcing(u.values, grid, prob, t, psi0))
-    return SparseSystem(matrix=matrix, rhs=rhs)
+    return SparseSystem(matrix=matrix, rhs=rhs, grid=grid)
 
 
 def exact_interior_gradients(e, grid):

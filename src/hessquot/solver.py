@@ -252,16 +252,38 @@ def homotopy_rhs_field(prob):
     return fields.values
 
 
-def linear_solve(sys):
-    """Direct sparse LU solve of the Newton correction.
+_RELRES_GATE = 1e-10
+_GMRES_RTOL = 1e-12
+# GMRES(50) with at most four restart cycles.  A cycle stops on the
+# preconditioned residual, so most solves need a short second cycle to
+# bring the true residual under rtol, and some end that cycle just above
+# it (1.0002e-12 on one continuation system) and need a third.  Admissible
+# Jacobians never come near four cycles, so hitting the cap means the
+# system is (nearly) singular and the LU path should decide.
+_GMRES_RESTART = 50
+_GMRES_CYCLES = 4
 
-    The Jacobian is nonsymmetric (first-order forcing terms) but small at
-    desk scale, so robustness beats iteration.  The relative residual must
+
+def linear_solve(sys):
+    """Solve the Newton correction J delta = rhs.
+
+    A system that carries its grid is solved by GMRES preconditioned with
+    the grid's Dirichlet Laplacian L scaled by d = diag(J) / diag(L), i.e.
+    M^{-1} r = L^{-1}(r / d).  J is a uniformly elliptic Q:D^2 operator
+    plus first-order terms, so this preconditioner is spectrally
+    equivalent and the iteration count does not grow with resolution.
+    Systems without a grid, and grid systems whose GMRES result misses
+    the gate below, are solved by sparse LU.  The relative residual must
     come back below 1e-10; anything else is reported as a singular system,
     which in practice means the admissibility margin collapsed.
     """
-    matrix = sys.matrix.tocsc()
     rhs = sys.rhs
+    bnorm = np.linalg.norm(rhs)
+    if sys.grid is not None and bnorm > 0.0:
+        delta = _krylov_solve(sys)
+        if delta is not None and _relres(sys.matrix, delta, rhs, bnorm) <= _RELRES_GATE:
+            return delta
+    matrix = sys.matrix.tocsc()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", sparse_linalg.MatrixRankWarning)
         delta = sparse_linalg.spsolve(matrix, rhs)
@@ -271,15 +293,37 @@ def linear_solve(sys):
             "sparse LU produced non-finite correction "
             "(probable admissibility-margin collapse)"
         )
-    bnorm = np.linalg.norm(rhs)
     if bnorm > 0.0:
-        rel = np.linalg.norm(matrix @ delta - rhs) / bnorm
-        if rel > 1e-10:
+        rel = _relres(matrix, delta, rhs, bnorm)
+        if rel > _RELRES_GATE:
             raise SingularSystemError(
                 f"linear solve residual {rel:.3e} exceeds 1e-10 "
                 "(probable admissibility-margin collapse)"
             )
     return delta
+
+
+def _relres(matrix, delta, rhs, bnorm):
+    # NaN (from a non-finite delta) compares false against any gate.
+    return np.linalg.norm(matrix @ delta - rhs) / bnorm
+
+
+def _krylov_solve(sys):
+    """Sine-preconditioned GMRES on a grid system; None when the scaling
+    diagonal has a zero or non-finite entry or GMRES does not converge."""
+    grid = sys.grid
+    matrix = sys.matrix
+    d = matrix.diagonal() / grid.laplacian_diagonal
+    if not np.all(np.isfinite(d) & (d != 0.0)):
+        return None
+    precond = sparse_linalg.LinearOperator(
+        matrix.shape, matvec=lambda r: grid.laplacian_solve(r / d), dtype=float
+    )
+    delta, info = sparse_linalg.gmres(
+        matrix, sys.rhs, rtol=_GMRES_RTOL, restart=_GMRES_RESTART,
+        maxiter=_GMRES_CYCLES, M=precond,
+    )
+    return delta if info == 0 else None
 
 
 def _step(u, delta, s):

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from hessquot import expr as expr_mod
 from hessquot import grid as grid_mod
+from hessquot import symfun
 from hessquot.errors import NotAdmissibleError
 from hessquot.grid import (
     Grid,
@@ -121,6 +123,33 @@ def _quadratic_problem(res=9):
     return ProblemSpec(grid=g, quotient=spec, psi=psi, phi=quad, subsolution=quad)
 
 
+def _gradient_problem_2d(res=9):
+    # psi depends on u and p, so the +/-e_a neighbors of every row receive
+    # both a second-difference and a gradient weight
+    g = _grid2(res)
+    spec = QuotientSpec(2, 2, 0, tau=1.0)
+    quad = expr_mod.parse("(x1^2 + x2^2)/2", 2)
+    psi = expr_mod.parse("0.5 + 0.5*(u - (x1^2 + x2^2)/2) + 0.1*(p1^2 + p2^2)", 2)
+    return ProblemSpec(grid=g, quotient=spec, psi=psi, phi=quad, subsolution=quad)
+
+
+def _first_order_problem_3d(res=9):
+    g = _grid3(res)
+    spec = QuotientSpec(3, 3, 1, tau=1.0)
+    quad = expr_mod.parse("(x1^2 + x2^2 + x3^2)/2", 3)
+    psi = expr_mod.parse("sqrt(4/3) + 0.25*u + 0.125*p1 - 0.05*p3", 3)
+    return ProblemSpec(grid=g, quotient=spec, psi=psi, phi=quad, subsolution=quad)
+
+
+def _perturbed_subsolution(prob, rng, scale=1e-4):
+    g = prob.grid
+    u = sample_expression(prob.subsolution, g)
+    noise = scale * rng.normal(size=g.shape)
+    noise[g.boundary_mask()] = 0.0
+    u.values += noise
+    return u
+
+
 def test_residual_zero_at_start_of_continuation():
     prob = _quadratic_problem()
     u = sample_expression(prob.subsolution, prob.grid)
@@ -166,13 +195,10 @@ def test_residual_reports_offending_node():
 
 
 def test_jacobian_matches_directional_differences(rng):
-    for maker, n in [(_quadratic_problem, 3)]:
+    for maker, n in [(_quadratic_problem, 3), (_gradient_problem_2d, 2)]:
         prob = maker(7)
         g = prob.grid
-        u = sample_expression(prob.subsolution, g)
-        noise = 1e-4 * rng.normal(size=g.shape)
-        noise[g.boundary_mask()] = 0.0
-        u.values += noise
+        u = _perturbed_subsolution(prob, rng)
         psi0 = homotopy_rhs_field(prob)
         for t in (0.0, 0.6, 1.0):
             sys_ = assemble_jacobian(u, prob, t, psi0=psi0)
@@ -215,6 +241,93 @@ def test_jacobian_first_order_terms_respond_to_psi(rng):
     dn = np.ravel_multi_index((1, 2, 2), g.interior_shape)
     assert diff[row, up] == pytest.approx(-0.125 / (2 * h))
     assert diff[row, dn] == pytest.approx(+0.125 / (2 * h))
+
+
+def _reference_jacobian(u, prob, t):
+    """Masked-gather COO assembly of the Jacobian, converted to CSR.
+
+    The reference the fixed-pattern assembly is compared against: every
+    stencil weight is scattered with explicit row/column index arrays and
+    duplicates are summed by the COO -> CSR conversion.
+    """
+    grid = prob.grid
+    spec = prob.quotient
+    n = grid.n
+    h = grid.h
+    fields = grid_mod._operator_fields(u.values, grid, spec)
+    f = symfun._quotient_gradient_core(
+        fields.lam, fields.tables, symfun._deleted_tables(fields.lam), spec.k, spec.l
+    )
+    G = np.einsum("...ip,...p,...jp->...ij", fields.vectors, f, fields.vectors)
+    G = 0.5 * (G + np.swapaxes(G, -1, -2))
+    trG = np.trace(G, axis1=-2, axis2=-1)
+    Q = spec.tau * trG[..., None, None] * np.eye(n) - G
+
+    nint = grid.num_interior
+    ids = np.arange(nint)
+    multi = np.stack(np.unravel_index(ids, grid.interior_shape), axis=-1) + 1
+    rows, cols, data = [], [], []
+
+    def add(offset, weights):
+        nb = multi + np.asarray(offset)
+        ok = np.all((nb >= 1) & (nb <= grid.res - 2), axis=-1)
+        if not np.any(ok):
+            return
+        flat = np.ravel_multi_index((nb[ok] - 1).T, grid.interior_shape)
+        rows.append(ids[ok])
+        cols.append(flat)
+        data.append(np.asarray(weights)[ok])
+
+    center = np.zeros(nint)
+    for a in range(n):
+        w = Q[:, a, a] / h[a] ** 2
+        center -= 2.0 * w
+        for s in (1, -1):
+            o = [0] * n
+            o[a] = s
+            add(o, w)
+    for a in range(n):
+        for b in range(a + 1, n):
+            qab = 2.0 * Q[:, a, b]
+            for sa in (1, -1):
+                for sb in (1, -1):
+                    o = [0] * n
+                    o[a] = sa
+                    o[b] = sb
+                    add(o, qab * sa * sb / (4.0 * h[a] * h[b]))
+    if t != 0.0:
+        x = grid.interior_coords()
+        core = (slice(1, -1),) * n
+        p = interior_gradients(u.values, grid)
+        _, psi_z, psi_p = prob.psi_terms(x, u.values[core].reshape(-1), p)
+        center -= t * np.broadcast_to(psi_z, (nint,))
+        if np.any(np.asarray(psi_p) != 0.0):
+            psi_p = np.broadcast_to(psi_p, (nint, n))
+            for a in range(n):
+                for s in (1, -1):
+                    o = [0] * n
+                    o[a] = s
+                    add(o, -t * psi_p[:, a] * s / (2.0 * h[a]))
+    rows.append(ids)
+    cols.append(ids)
+    data.append(center)
+    return sparse.coo_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(nint, nint),
+    ).tocsr()
+
+
+def test_fixed_pattern_assembly_matches_reference(rng):
+    for maker in (_gradient_problem_2d, _first_order_problem_3d):
+        prob = maker(7)
+        u = _perturbed_subsolution(prob, rng)
+        psi0 = homotopy_rhs_field(prob)
+        for t in (0.0, 1.0):
+            got = assemble_jacobian(u, prob, t, psi0=psi0).matrix
+            ref = _reference_jacobian(u, prob, t)
+            assert np.array_equal(got.indptr, ref.indptr)
+            assert np.array_equal(got.indices, ref.indices)
+            assert np.allclose(got.data, ref.data, rtol=1e-14, atol=0.0)
 
 
 def test_jacobian_row_sparsity():
@@ -267,3 +380,23 @@ def test_exact_derivative_sampling():
         0.5 * np.eye(2) + 0.25 * np.einsum("ni,nj->nij", x, x)
     )
     assert np.allclose(H, expected, rtol=1e-12)
+
+
+def test_laplacian_solve_inverts_dirichlet_laplacian(rng):
+    for g in (
+        Grid(n=2, lo=(0, 0), hi=(1, 3), res=9),
+        Grid(n=3, lo=(0, -1, 0), hi=(1, 1, 0.5), res=7),
+    ):
+        m = g.res - 2
+        d2 = sparse.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(m, m))
+        L = sparse.csr_matrix((g.num_interior, g.num_interior))
+        for a in range(g.n):
+            factors = [sparse.eye(m)] * g.n
+            factors[a] = d2 / g.h[a] ** 2
+            term = factors[0]
+            for f in factors[1:]:
+                term = sparse.kron(term, f)
+            L = L + term
+        assert np.allclose(L.diagonal(), g.laplacian_diagonal, rtol=1e-14)
+        v = rng.normal(size=g.num_interior)
+        assert np.allclose(g.laplacian_solve(L @ v), v, rtol=0, atol=1e-12)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.sparse import linalg as sparse_linalg
 
 from hessquot import expr as expr_mod
 from hessquot.errors import (
@@ -8,7 +9,7 @@ from hessquot.errors import (
     ProblemSpecError,
     SingularSystemError,
 )
-from hessquot.grid import Grid, SparseSystem, sample_expression
+from hessquot.grid import Grid, SparseSystem, assemble_jacobian, sample_expression
 from hessquot.solver import (
     HomotopyParams,
     NewtonParams,
@@ -232,3 +233,147 @@ def test_linear_solve_flags_singular():
     A = sparse.csr_matrix(np.array([[1.0, 2.0], [2.0, 4.0]]))
     with pytest.raises(SingularSystemError):
         linear_solve(SparseSystem(matrix=A, rhs=np.array([1.0, 1.0])))
+
+
+def _bump_system_3d():
+    # 3-D (3,1), Jacobian at a bump-perturbed subsolution halfway along
+    sub = expr_mod.parse(f"{QUAD} - 0.4*{BUMP}", 3)
+    prob, _ = manufactured_problem(
+        expr_mod.parse(QUAD, 3), _grid3(11), _spec31(), subsolution=sub
+    )
+    u = sample_expression(prob.subsolution, prob.grid)
+    return assemble_jacobian(u, prob, 0.5, psi0=homotopy_rhs_field(prob))
+
+
+def _gradient_system_2d():
+    # 2-D (2,0) with a gradient-dependent psi at t = 1: nonsymmetric
+    g = Grid(n=2, lo=(0, 0), hi=(1, 1), res=17)
+    quad = expr_mod.parse("(x1^2 + x2^2)/2", 2)
+    psi = expr_mod.parse("0.5 + 0.5*(u - (x1^2 + x2^2)/2) + 0.1*(p1^2 + p2^2)", 2)
+    prob = ProblemSpec(
+        grid=g, quotient=QuotientSpec(2, 2, 0, tau=1.0), psi=psi, phi=quad,
+        subsolution=quad,
+    )
+    u = sample_expression(quad, g)
+    return assemble_jacobian(u, prob, 1.0, psi0=homotopy_rhs_field(prob))
+
+
+def _unequal_box_system_3d():
+    # spacing differs on every axis: h = (0.1, 0.05, 0.2)
+    g = Grid(n=3, lo=(0, 0, 0), hi=(1, 0.5, 2), res=11)
+    quad = expr_mod.parse(QUAD, 3)
+    bump = "x1*(1-x1)*x2*(0.5-x2)*x3*(2-x3)"
+    psi = expr_mod.parse(f"sqrt(4/3) + 0.5*(u - {QUAD}) + 0.1*p2", 3)
+    prob = ProblemSpec(
+        grid=g, quotient=_spec31(), psi=psi, phi=quad,
+        subsolution=expr_mod.parse(f"{QUAD} - {bump}", 3),
+    )
+    u = sample_expression(prob.subsolution, g)
+    return assemble_jacobian(u, prob, 1.0, psi0=homotopy_rhs_field(prob))
+
+
+def _forbid_lu(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("grid system fell back to sparse LU")
+
+    monkeypatch.setattr(sparse_linalg, "spsolve", fail)
+
+
+@pytest.mark.parametrize(
+    "make", [_bump_system_3d, _gradient_system_2d, _unequal_box_system_3d]
+)
+def test_krylov_path_agrees_with_superlu(make, monkeypatch):
+    sys_ = make()
+    assert sys_.grid is not None
+    ref = sparse_linalg.spsolve(sys_.matrix.tocsc(), sys_.rhs)
+    with monkeypatch.context() as m:
+        _forbid_lu(m)
+        delta = linear_solve(sys_)
+        again = linear_solve(sys_)
+    bnorm = np.linalg.norm(sys_.rhs)
+    assert bnorm > 0
+    assert np.linalg.norm(sys_.matrix @ delta - sys_.rhs) <= 1e-10 * bnorm
+    assert np.linalg.norm(delta - ref) <= 1e-9 * np.linalg.norm(ref)
+    assert delta.tobytes() == again.tobytes()
+
+
+def test_continuation_never_falls_back_to_lu(monkeypatch):
+    # 2-D (2,0), res 97, gradient-dependent psi: at this amplitude one
+    # Newton system's GMRES ends its second restart cycle with relative
+    # residual 1.0002e-12, just above rtol, and needs a third
+    g = Grid(n=2, lo=(0, 0), hi=(1, 1), res=97)
+    quad = expr_mod.parse("(x1^2 + x2^2)/2", 2)
+    psi = expr_mod.parse(
+        "0.5 + 0.5*(u - (x1^2 + x2^2)/2) + 0.095690*(p1^2 + p2^2)", 2
+    )
+    prob = ProblemSpec(
+        grid=g, quotient=QuotientSpec(2, 2, 0, tau=1.0), psi=psi, phi=quad,
+        subsolution=quad,
+    )
+    _forbid_lu(monkeypatch)
+    _, report = solve_dirichlet(prob)
+    assert report.converged and report.stages[-1].t == 1.0
+
+
+def test_gradient_system_is_nonsymmetric():
+    A = _gradient_system_2d().matrix
+    assert abs(A - A.T).max() > 1e-3 * abs(A).max()
+
+
+def _with_row(sys_, target, source=None):
+    # copy of the system with row ``target`` zeroed, or replaced by row
+    # ``source``; either makes the matrix singular
+    A = sys_.matrix.tolil()
+    A[target, :] = 0.0 if source is None else A[source, :]
+    return SparseSystem(matrix=A.tocsr(), rhs=sys_.rhs, grid=sys_.grid)
+
+
+def test_singular_grid_system_still_raises(monkeypatch):
+    sys_ = _bump_system_3d()
+    mid = sys_.rhs.shape[0] // 2
+    with pytest.raises(SingularSystemError):
+        linear_solve(_with_row(sys_, mid))
+    # duplicated row: the scaling diagonal stays nonzero, so GMRES runs,
+    # fails to converge, and the LU path reports the singular system
+    infos = []
+    gmres = sparse_linalg.gmres
+
+    def spy(*args, **kwargs):
+        out = gmres(*args, **kwargs)
+        infos.append(out[1])
+        return out
+
+    monkeypatch.setattr(sparse_linalg, "gmres", spy)
+    with pytest.raises(SingularSystemError):
+        linear_solve(_with_row(sys_, mid, source=mid + 1))
+    assert len(infos) == 1 and infos[0] != 0
+
+
+@pytest.mark.parametrize(
+    "fake",
+    [
+        lambda x: (x + 1e-3 * np.abs(x).max(), 0),  # claims success, wrong
+        lambda x: (np.full_like(x, np.nan), 0),  # claims success, non-finite
+        lambda x: (x, 1),  # right answer, but reports no convergence
+    ],
+)
+def test_unchecked_gmres_result_is_never_returned(fake, monkeypatch):
+    sys_ = _bump_system_3d()
+    ref = sparse_linalg.spsolve(sys_.matrix.tocsc(), sys_.rhs)
+    lu_calls = []
+    spsolve = sparse_linalg.spsolve
+
+    def spy(*args, **kwargs):
+        lu_calls.append(1)
+        return spsolve(*args, **kwargs)
+
+    monkeypatch.setattr(sparse_linalg, "gmres", lambda A, b, **kw: fake(ref.copy()))
+    monkeypatch.setattr(sparse_linalg, "spsolve", spy)
+    delta = linear_solve(sys_)
+    assert lu_calls == [1]
+    assert np.array_equal(delta, ref)
+    # and on a singular system the LU gate still decides
+    mid = sys_.rhs.shape[0] // 2
+    with pytest.raises(SingularSystemError):
+        linear_solve(_with_row(sys_, mid, source=mid + 1))
+    assert lu_calls == [1, 1]
