@@ -26,7 +26,7 @@ from scipy import sparse
 from . import expr as expr_mod
 from . import symfun
 from .errors import NotAdmissibleError
-from .spectral import _jacobi, eta_transform
+from .spectral import eta_transform, sym_eig
 
 
 @dataclass(frozen=True)
@@ -92,6 +92,10 @@ class Grid:
 
     def is_interior(self, node):
         return all(1 <= i <= self.res - 2 for i in node)
+
+    def interior_node(self, row):
+        """Grid multi-index of the interior node in row-major row ``row``."""
+        return tuple(int(i) + 1 for i in np.unravel_index(row, self.interior_shape))
 
     def node_coord(self, node):
         return np.array(
@@ -347,41 +351,72 @@ def interior_hessians(values, grid):
     return H.reshape(-1, n, n)
 
 
-def admissibility_margin(tables, k, n):
-    """Smallest normalized sigma_j / C(n, j) over nodes and 1 <= j <= k."""
-    norm = np.array([math.comb(n, j) for j in range(1, k + 1)], dtype=float)
-    return float(np.min(tables[..., 1 : k + 1] / norm))
+def admissibility_margins(tables, n):
+    """Per-node minimum of sigma_j / C(n, j), 1 <= j <= k, over a sigma table."""
+    cols = [tables[:, j] / math.comb(n, j) for j in range(1, tables.shape[-1])]
+    return np.minimum.reduce(cols)
 
 
+@dataclass(slots=True)
 class _OperatorFields:
-    """Per-node spectral data shared by residual and Jacobian assembly."""
+    """Per-node operator data shared by residual and Jacobian assembly."""
 
-    __slots__ = ("values", "margin", "lam", "vectors", "tables")
+    values: np.ndarray
+    margin: float
+    tables: np.ndarray
+    d_k: np.ndarray
+    d_l: np.ndarray
 
-    def __init__(self, values, margin, lam, vectors, tables):
-        self.values = values
-        self.margin = margin
-        self.lam = lam
-        self.vectors = vectors
-        self.tables = tables
+    def gradient(self, spec):
+        """d operator / dU = (1/m) f^(1-m) (sigma_l d_k - sigma_k d_l) / sigma_l^2
+        at every node, m = k - l, d_j = d sigma_j / dU; symmetrized."""
+        m = spec.degree_gap
+        sk, sl = self.tables[:, spec.k, None, None], self.tables[:, spec.l, None, None]
+        scale = self.values[:, None, None] ** (1 - m) / (m * sl**2)
+        G = scale * (sl * self.d_k - sk * self.d_l)
+        return 0.5 * (G + np.swapaxes(G, -1, -2))
+
+
+def sigma_tensors(H, spec):
+    """Eigen-free sigma table of U = tau*tr(H)*I - H for a stack H (N, n, n).
+
+    The Faddeev-LeVerrier recurrence T_0 = I, sigma_j = tr(U T_{j-1}) / j,
+    T_j = sigma_j I - U T_{j-1} (j = 1..k) gives the characteristic
+    polynomial coefficients sigma_j, the elementary symmetric polynomials
+    of the eigenvalues, and their derivatives d sigma_j / dU = T_{j-1}
+    (Newton transformations, Reilly 1973).  Never raises.  Returns the
+    table [sigma_0..sigma_k] (N, k + 1) and grads = [0, T_0..T_{k-1}].
+    """
+    U = eta_transform(H, spec.tau)
+    eye = np.eye(U.shape[-1])
+    tables = np.ones(U.shape[:-2] + (spec.k + 1,))
+    grads = [np.zeros_like(eye), eye]
+    M = U  # U T_{j-1}
+    for j in range(1, spec.k + 1):
+        tables[:, j] = np.trace(M, axis1=-2, axis2=-1) / j
+        if j < spec.k:
+            grads.append(tables[:, j, None, None] * eye - M)
+            M = U @ grads[-1]
+    return tables, grads
+
+
+def hessian_fields(H, grid, spec):
+    """Operator fields at the interior Hessians H (N_int, n, n) of grid.
+
+    The first node where some sigma_j, 1 <= j <= k, is not positive raises
+    NotAdmissibleError with the node, that j and the eigenvalues of its U."""
+    tables, grads = sigma_tensors(H, spec)
+    row, j = symfun._first_failing_index(tables, spec.k)
+    if row is not None:
+        lam = sym_eig(eta_transform(H[row], spec.tau)).values
+        raise NotAdmissibleError(lam, j, node=grid.interior_node(row))
+    values = symfun._quotient_from_table(tables, spec.k, spec.l)
+    margin = float(np.min(admissibility_margins(tables, spec.n)))
+    return _OperatorFields(values, margin, tables, grads[spec.k], grads[spec.l])
 
 
 def _operator_fields(values, grid, spec):
-    H = interior_hessians(values, grid)
-    U = eta_transform(H, spec.tau)
-    lam, vec = _jacobi(U)
-    tables = symfun._sigma_table(lam)
-    ok = np.all(tables[..., 1 : spec.k + 1] > 0.0, axis=-1)
-    if not np.all(ok):
-        row = int(np.flatnonzero(~ok)[0])
-        j = int(np.argmax(tables[row, 1 : spec.k + 1] <= 0.0)) + 1
-        node = tuple(
-            int(i) + 1 for i in np.unravel_index(row, grid.interior_shape)
-        )
-        raise NotAdmissibleError(lam[row], j, node=node)
-    fvals = (tables[..., spec.k] / tables[..., spec.l]) ** (1.0 / spec.degree_gap)
-    margin = admissibility_margin(tables, spec.k, spec.n)
-    return _OperatorFields(fvals, margin, lam, vec, tables)
+    return hessian_fields(interior_hessians(values, grid), grid, spec)
 
 
 def _forcing(u_values, grid, prob, t, psi0):
@@ -425,13 +460,8 @@ def assemble_jacobian(u, prob, t, psi0=None, fields=None):
     h = grid.h
     if fields is None:
         fields = _operator_fields(u.values, grid, spec)
-    f = symfun._quotient_gradient_core(
-        fields.lam, fields.tables, symfun._deleted_tables(fields.lam), spec.k, spec.l
-    )
-    G = np.einsum("...ip,...p,...jp->...ij", fields.vectors, f, fields.vectors)
-    G = 0.5 * (G + np.swapaxes(G, -1, -2))
-    trG = np.trace(G, axis1=-2, axis2=-1)
-    Q = spec.tau * trG[..., None, None] * np.eye(n) - G
+    # chain rule through the self-adjoint map U = tau*tr(H)*I - H
+    Q = eta_transform(fields.gradient(spec), spec.tau)
 
     nint = grid.num_interior
     pattern = grid.jacobian_pattern

@@ -23,7 +23,6 @@ from scipy.sparse import linalg as sparse_linalg
 
 from . import expr as expr_mod
 from . import grid as grid_mod
-from . import symfun
 from .errors import (
     HomotopyStallError,
     LineSearchError,
@@ -33,7 +32,6 @@ from .errors import (
     SingularSystemError,
 )
 from .grid import Grid, GridFunction
-from .spectral import _jacobi, eta_transform
 from .symfun import QuotientSpec
 
 log = logging.getLogger("hessquot.solver")
@@ -202,30 +200,21 @@ def validate_problem(prob):
     # inequality is a statement about the function, and stencil error
     # would swamp the 1e-8 slack on coarse grids
     H = grid_mod.exact_interior_hessians(prob.subsolution, g)
-    U = eta_transform(H, prob.quotient.tau)
-    lam, _ = _jacobi(U)
-    tables = symfun._sigma_table(lam)
-    ok = np.all(tables[..., 1 : prob.quotient.k + 1] > 0.0, axis=-1)
-    if not np.all(ok):
-        row = int(np.flatnonzero(~ok)[0])
-        node = tuple(int(i) + 1 for i in np.unravel_index(row, g.interior_shape))
-        j = int(np.argmax(tables[row, 1 : prob.quotient.k + 1] <= 0.0)) + 1
+    try:
+        fvals = grid_mod.hessian_fields(H, g, prob.quotient).values
+    except NotAdmissibleError as err:
         raise ProblemSpecError(
-            f"subsolution is not admissible at node {node} (sigma_{j} <= 0)"
-        )
-    fvals = (tables[..., prob.quotient.k] / tables[..., prob.quotient.l]) ** (
-        1.0 / prob.quotient.degree_gap
-    )
+            f"subsolution is not admissible at node {err.node} "
+            f"(sigma_{err.failing_index} <= 0)"
+        ) from err
 
     x = g.interior_coords()
-    core = (slice(1, -1),) * g.n
-    ub = sub_gf.values[core].reshape(-1)
+    ub = sub_gf.interior()
     pb = grid_mod.exact_interior_gradients(prob.subsolution, g)
     psi, psi_z, _ = prob.psi_terms(x, ub, pb)
     deficit = np.min(fvals - psi)
     if deficit < -1e-8:
-        row = int(np.argmin(fvals - psi))
-        node = tuple(int(i) + 1 for i in np.unravel_index(row, g.interior_shape))
+        node = g.interior_node(int(np.argmin(fvals - psi)))
         raise ProblemSpecError(
             f"subsolution inequality fails by {-deficit:.3e} at node {node}"
         )

