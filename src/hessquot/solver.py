@@ -11,12 +11,20 @@ iterates that stay admissible at every interior node; t advances
 adaptively and never decreases.  The subsolution is both the starting
 iterate and the anchor of the path, mirroring how the existence proof
 walks the same family.
+
+Once two stages are accepted, each stage's Newton starts on the secant
+through them, extrapolated to the new t (a first-order predictor,
+Allgower & Georg, *Numerical Continuation Methods*, ch. 2), instead of at
+the last solution.  Both stages share the boundary data, so the
+prediction is boundary-correct.  A prediction that leaves the cone, or
+where psi faults, is dropped and that attempt starts from the last
+solution.  The step controller does not look at the predictor.
 """
 
 import logging
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.sparse import linalg as sparse_linalg
@@ -328,17 +336,28 @@ def _residual_state(u, prob, t, psi0):
     return r, fields
 
 
-def _newton(u0, t, prob, psi0):
+def _newton(u0, t, prob, psi0, fallback=None):
     """Damped Newton on one continuation stage.
 
     Accepts the largest step s in {1, 1/2, 1/4, ...} that keeps every
     interior node admissible and shrinks the residual infinity norm by the
     factor (1 - s/4); stops once the norm reaches the tolerance.
+
+    With a fallback, u0 is a predicted start: if it is not admissible or
+    psi faults there, Newton starts from the fallback instead.  The first
+    residual evaluation is that probe, so no start is evaluated twice.
     """
     tol = prob.newton.tol_residual
-    u = u0
-    r, fields = _residual_state(u, prob, t, psi0)
+    u, start = u0, "unpredicted" if fallback is None else "predicted"
+    try:
+        r, fields = _residual_state(u, prob, t, psi0)
+    except (NotAdmissibleError, expr_mod.DomainFaultError):
+        if fallback is None:
+            raise
+        u, start = fallback, "fallback"
+        r, fields = _residual_state(u, prob, t, psi0)
     rinf = float(np.abs(r).max())
+    log.info("stage t=%.6g start=%s residual_inf=%.6e", t, start, rinf)
     iters = 0
     while rinf > tol:
         if iters >= prob.newton.max_iters:
@@ -347,8 +366,9 @@ def _newton(u0, t, prob, psi0):
                 f"{prob.newton.max_iters} iterations",
                 iterate=u,
             )
-        sys = grid_mod.assemble_jacobian(u, prob, t, psi0=psi0, fields=fields)
-        delta = linear_solve(sys)
+        # the residual is already at hand: assemble the matrix only
+        sys = grid_mod.assemble_jacobian(u, prob, t, fields=fields)
+        delta = linear_solve(replace(sys, rhs=-r))
         s = 1.0
         while True:
             try:
@@ -385,15 +405,26 @@ def newton_stage(u0, t, prob, psi0=None):
     return u
 
 
+def _secant(u_prev, t_prev, u, t, t_next):
+    """The line through the accepted stages (t_prev, u_prev), (t, u) at
+    t_next; boundary values are those of u."""
+    w = (t_next - t) / (t - t_prev)
+    return GridFunction(u.grid, u.values + w * (u.values - u_prev.values))
+
+
 def solve_dirichlet(prob):
     """March the continuation from the subsolution to the target problem.
 
     Returns the discrete solution and a report with one record per stage,
     the diagnostics of the final iterate, and any load-time warnings.  The
     continuation starts at t = 0 where the subsolution is exact, advances
-    t adaptively (halving on stage failure, growing after easy stages,
-    never decreasing), and fails with HomotopyStallError if the step
-    control collapses below its floor.
+    t adaptively (halving on stage failure, doubling after stages of at
+    most three Newton iterations up to 0.25, never decreasing), and fails
+    with HomotopyStallError if the step control collapses below its floor.
+    Every attempt after the first accepted stage starts Newton from the
+    secant prediction through the last two accepted stages, or from the
+    last solution when the prediction is not admissible; each attempt logs
+    its start at INFO.
     """
     start = time.perf_counter()
     warnings_out = validate_problem(prob)
@@ -443,11 +474,16 @@ def solve_dirichlet(prob):
     stages.append(StageRecord(0.0, 0, float(np.abs(r0).max()), fields0.margin))
 
     t = 0.0
+    u_prev = t_prev = None
     dt = prob.homotopy.dt_init
     while t < 1.0:
         t_try = min(1.0, t + dt)
+        if u_prev is None:
+            u_start, fallback = u, None
+        else:
+            u_start, fallback = _secant(u_prev, t_prev, u, t, t_try), u
         try:
-            u_new, record = _newton(u, t_try, prob, psi0)
+            u_new, record = _newton(u_start, t_try, prob, psi0, fallback=fallback)
         except (NewtonDivergenceError, LineSearchError, SingularSystemError) as err:
             dt *= 0.5
             log.info("stage t=%.6g failed (%s); dt -> %.3e", t_try, type(err).__name__, dt)
@@ -459,6 +495,7 @@ def solve_dirichlet(prob):
                     report=partial_report(),
                 ) from err
             continue
+        u_prev, t_prev = u, t
         u, t = u_new, t_try
         stages.append(record)
         if record.newton_iters <= 3:

@@ -1,15 +1,26 @@
+import logging
+
 import numpy as np
 import pytest
 from scipy import sparse
 from scipy.sparse import linalg as sparse_linalg
 
 from hessquot import expr as expr_mod
+from hessquot import grid as grid_mod
+from hessquot import solver as solver_mod
 from hessquot.errors import (
     HomotopyStallError,
+    NotAdmissibleError,
     ProblemSpecError,
     SingularSystemError,
 )
-from hessquot.grid import Grid, SparseSystem, assemble_jacobian, sample_expression
+from hessquot.grid import (
+    Grid,
+    SparseSystem,
+    assemble_jacobian,
+    assemble_residual,
+    sample_expression,
+)
 from hessquot.solver import (
     HomotopyParams,
     NewtonParams,
@@ -33,6 +44,26 @@ def _grid3(res=9):
 
 def _spec31():
     return QuotientSpec(3, 3, 1, tau=1.0)
+
+
+def _continuation2d(res, c=0.1):
+    # 2-D (2,0) with a gradient-dependent psi; the subsolution is phi
+    g = Grid(n=2, lo=(0, 0), hi=(1, 1), res=res)
+    quad = expr_mod.parse("(x1^2 + x2^2)/2", 2)
+    psi = expr_mod.parse(f"0.5 + 0.5*(u - (x1^2 + x2^2)/2) + {c}*(p1^2 + p2^2)", 2)
+    return ProblemSpec(
+        grid=g, quotient=QuotientSpec(2, 2, 0, tau=1.0), psi=psi, phi=quad,
+        subsolution=quad,
+    )
+
+
+def _start_records(caplog):
+    # the start label of every stage attempt, in order
+    return [
+        r.getMessage().split("start=")[1].split()[0]
+        for r in caplog.records
+        if r.name == "hessquot.solver" and "start=" in r.getMessage()
+    ]
 
 
 def test_quadratic_with_trivial_subsolution_is_immediate():
@@ -127,6 +158,121 @@ def test_homotopy_stall_carries_partial_report():
     assert err.value.report is not None
     assert not err.value.report.converged
     assert err.value.iterate is not None
+
+
+def test_easy_stages_do_not_churn(caplog):
+    # Subsolution = exact solution, so the path is only the O(h^2) gap
+    # between the operator on stencil and on exact Hessians.  One Newton
+    # iteration from the last solution passes at dt 0.02 and fails at
+    # 0.04, so starting there the controller doubled and halved forever
+    # (100 accepted and 99 rejected attempts).  From the secant
+    # prediction one iteration passes at every size up to the 0.25 cap.
+    prob, _ = manufactured_problem(
+        expr_mod.parse("exp((x1^2 + x2^2 + x3^2)/4)", 3), _grid3(9), _spec31()
+    )
+    prob.newton = NewtonParams(tol_residual=1e-9, max_iters=1)
+    prob.homotopy = HomotopyParams(dt_init=0.02, dt_min=0.01)
+    caplog.set_level(logging.INFO, logger="hessquot.solver")
+    _, report = solve_dirichlet(prob)
+    assert report.converged and report.stages[-1].t == 1.0
+    assert len(report.stages) - 1 <= 10
+    failed = [r for r in caplog.records if "failed" in r.getMessage()]
+    assert len(failed) <= 2
+
+
+def test_gradient_dependent_path_2d(caplog):
+    prob = _continuation2d(33)
+    caplog.set_level(logging.INFO, logger="hessquot.solver")
+    u, report = solve_dirichlet(prob)
+    assert report.converged
+    ts = [s.t for s in report.stages]
+    assert ts[0] == 0.0 and ts[-1] == 1.0
+    assert all(b > a for a, b in zip(ts, ts[1:]))
+    assert all(s.min_admissibility_margin > 0 for s in report.stages)
+    bmask = prob.grid.boundary_mask()
+    phi = sample_expression(prob.phi, prob.grid)
+    assert np.array_equal(u.values[bmask], phi.values[bmask])
+    r = assemble_residual(u, prob, 1.0, np.zeros(prob.grid.num_interior))
+    assert np.abs(r).max() <= prob.newton.tol_residual
+    # starting every stage at the last solution took 23
+    assert sum(s.newton_iters for s in report.stages) <= 18
+    # no stage failed, so every attempt after the first is predicted
+    starts = _start_records(caplog)
+    assert starts == ["unpredicted"] + ["predicted"] * (len(ts) - 2)
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [
+        lambda: NotAdmissibleError(np.zeros(2), 1),
+        lambda: expr_mod.DomainFaultError(
+            "sqrt of negative value", expr_mod.parse("u", 2), -1.0
+        ),
+    ],
+)
+def test_inadmissible_prediction_falls_back_to_last_solution(fault, monkeypatch, caplog):
+    prob = _continuation2d(33)
+    predicted = []
+    real_secant, real_state = solver_mod._secant, solver_mod._residual_state
+
+    def secant(*args):
+        predicted.append(real_secant(*args))
+        return predicted[-1]
+
+    def residual_state(u, *args):
+        if any(u is p for p in predicted):
+            raise fault()
+        return real_state(u, *args)
+
+    monkeypatch.setattr(solver_mod, "_secant", secant)
+    monkeypatch.setattr(solver_mod, "_residual_state", residual_state)
+    caplog.set_level(logging.INFO, logger="hessquot.solver")
+    _, report = solve_dirichlet(prob)
+    assert report.converged
+    assert report.stages[-1].final_residual_inf <= prob.newton.tol_residual
+    # every attempt started from the last solution, so the path is the
+    # one taken without a predictor
+    assert predicted
+    assert _start_records(caplog) == ["unpredicted"] + ["fallback"] * len(predicted)
+    assert [s.t for s in report.stages] == pytest.approx(
+        [0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0], rel=0, abs=1e-12
+    )
+    assert [s.newton_iters for s in report.stages] == [0, 3, 4, 4, 4, 4, 4]
+
+
+def test_newton_solves_with_the_stage_residual(monkeypatch):
+    # _newton hands the residual it holds to the linear solve: the
+    # right-hand side is bit-identical to the one assembly would compute,
+    # and assembly evaluates psi only once, for its derivatives
+    prob = _continuation2d(17)
+    psi0 = homotopy_rhs_field(prob)
+    psi_calls = []
+    real_terms = ProblemSpec.psi_terms
+    real_assemble, real_solve = grid_mod.assemble_jacobian, solver_mod.linear_solve
+    seen = []
+
+    def psi_terms(self, *args):
+        psi_calls.append(1)
+        return real_terms(self, *args)
+
+    def assemble(u, prob_, t, **kwargs):
+        before = len(psi_calls)
+        out = real_assemble(u, prob_, t, **kwargs)
+        seen.append([u, t, len(psi_calls) - before])
+        return out
+
+    def solve(sys_):
+        seen[-1].append(sys_.rhs.copy())
+        return real_solve(sys_)
+
+    monkeypatch.setattr(ProblemSpec, "psi_terms", psi_terms)
+    monkeypatch.setattr(grid_mod, "assemble_jacobian", assemble)
+    monkeypatch.setattr(solver_mod, "linear_solve", solve)
+    solve_dirichlet(prob)
+    assert seen
+    for u, t, psi_evals, rhs in seen:
+        assert t > 0.0 and psi_evals == 1
+        assert np.array_equal(rhs, real_assemble(u, prob, t, psi0=psi0).rhs)
 
 
 def test_validate_rejects_boundary_mismatch():
@@ -247,14 +393,8 @@ def _bump_system_3d():
 
 def _gradient_system_2d():
     # 2-D (2,0) with a gradient-dependent psi at t = 1: nonsymmetric
-    g = Grid(n=2, lo=(0, 0), hi=(1, 1), res=17)
-    quad = expr_mod.parse("(x1^2 + x2^2)/2", 2)
-    psi = expr_mod.parse("0.5 + 0.5*(u - (x1^2 + x2^2)/2) + 0.1*(p1^2 + p2^2)", 2)
-    prob = ProblemSpec(
-        grid=g, quotient=QuotientSpec(2, 2, 0, tau=1.0), psi=psi, phi=quad,
-        subsolution=quad,
-    )
-    u = sample_expression(quad, g)
+    prob = _continuation2d(17)
+    u = sample_expression(prob.subsolution, prob.grid)
     return assemble_jacobian(u, prob, 1.0, psi0=homotopy_rhs_field(prob))
 
 
@@ -298,18 +438,10 @@ def test_krylov_path_agrees_with_superlu(make, monkeypatch):
 
 
 def test_continuation_never_falls_back_to_lu(monkeypatch):
-    # 2-D (2,0), res 97, gradient-dependent psi: at this amplitude one
-    # Newton system's GMRES ends its second restart cycle with relative
-    # residual 1.0002e-12, just above rtol, and needs a third
-    g = Grid(n=2, lo=(0, 0), hi=(1, 1), res=97)
-    quad = expr_mod.parse("(x1^2 + x2^2)/2", 2)
-    psi = expr_mod.parse(
-        "0.5 + 0.5*(u - (x1^2 + x2^2)/2) + 0.095690*(p1^2 + p2^2)", 2
-    )
-    prob = ProblemSpec(
-        grid=g, quotient=QuotientSpec(2, 2, 0, tau=1.0), psi=psi, phi=quad,
-        subsolution=quad,
-    )
+    # 2-D (2,0), res 97, gradient-dependent psi: at this amplitude (and
+    # across 0.090-0.094) one Newton system's GMRES ends its second restart
+    # cycle just above rtol and needs a third
+    prob = _continuation2d(97, c=0.092)
     _forbid_lu(monkeypatch)
     _, report = solve_dirichlet(prob)
     assert report.converged and report.stages[-1].t == 1.0
