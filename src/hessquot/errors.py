@@ -25,7 +25,8 @@ class SamplerExhaustedError(RuntimeError):
 
 
 class EigenFailureError(RuntimeError):
-    """Jacobi sweeps did not converge; for n <= 8 this indicates a bug."""
+    """LAPACK eigh did not converge; on finite symmetric input with n <= 8
+    this indicates a broken LAPACK build."""
 
 
 class OracleScaleError(ValueError):

@@ -359,13 +359,16 @@ def admissibility_margins(tables, n):
 
 @dataclass(slots=True)
 class _OperatorFields:
-    """Per-node operator data shared by residual and Jacobian assembly."""
+    """Per-node operator data shared by residual and Jacobian assembly;
+    ``_residual_state`` adds psi_z and psi_p at its state when t > 0."""
 
     values: np.ndarray
     margin: float
     tables: np.ndarray
     d_k: np.ndarray
     d_l: np.ndarray
+    psi_z: object = None
+    psi_p: object = None
 
     def gradient(self, spec):
         """d operator / dU = (1/m) f^(1-m) (sigma_l d_k - sigma_k d_l) / sigma_l^2
@@ -419,15 +422,21 @@ def _operator_fields(values, grid, spec):
     return hessian_fields(interior_hessians(values, grid), grid, spec)
 
 
-def _forcing(u_values, grid, prob, t, psi0):
-    if t == 0.0:
-        return np.asarray(psi0, dtype=float)
-    x = grid.interior_coords()
-    core = (slice(1, -1),) * grid.n
-    uvals = u_values[core].reshape(-1)
-    p = interior_gradients(u_values, grid)
-    psi, _, _ = prob.psi_terms(x, uvals, p)
-    return t * psi + (1.0 - t) * np.asarray(psi0, dtype=float)
+def _residual_state(u, prob, t, psi0):
+    """Stage residual at parameter t and the operator fields of u.
+
+    The one evaluation of psi at this state: at t > 0 its psi_z and psi_p
+    go into the fields for assembly; at t = 0 psi is not needed."""
+    grid = prob.grid
+    fields = _operator_fields(u.values, grid, prob.quotient)
+    forcing = np.asarray(psi0, dtype=float)
+    if t != 0.0:
+        p = interior_gradients(u.values, grid)
+        psi, fields.psi_z, fields.psi_p = prob.psi_terms(
+            grid.interior_coords(), u.interior(), p
+        )
+        forcing = t * psi + (1.0 - t) * forcing
+    return fields.values - forcing, fields
 
 
 def assemble_residual(u, prob, t, psi0):
@@ -441,8 +450,7 @@ def assemble_residual(u, prob, t, psi0):
     boundary values of u are taken as given (the caller pins them to the
     boundary data).
     """
-    fields = _operator_fields(u.values, prob.grid, prob.quotient)
-    return fields.values - _forcing(u.values, prob.grid, prob, t, psi0)
+    return _residual_state(u, prob, t, psi0)[0]
 
 
 def assemble_jacobian(u, prob, t, psi0=None, fields=None):
@@ -452,18 +460,23 @@ def assemble_jacobian(u, prob, t, psi0=None, fields=None):
     minus t * psi_z(p) on the diagonal and t * psi_p(p) times the gradient
     stencil weights.  Stencil neighbors on the boundary carry no unknowns;
     their pinned values already live in the residual, which is returned
-    negated as the right-hand side when psi0 is provided.
+    negated as the right-hand side when psi0 is provided.  Given the
+    ``fields`` of u's ``_residual_state`` at t, it evaluates nothing at u
+    and the right-hand side is zero: the caller holds the residual.
     """
     grid = prob.grid
     spec = prob.quotient
     n = grid.n
     h = grid.h
+    nint = grid.num_interior
+    rhs = np.zeros(nint)
     if fields is None:
-        fields = _operator_fields(u.values, grid, spec)
+        r, fields = _residual_state(u, prob, t, 0.0 if psi0 is None else psi0)
+        if psi0 is not None:
+            rhs = -r
     # chain rule through the self-adjoint map U = tau*tr(H)*I - H
     Q = eta_transform(fields.gradient(spec), spec.tau)
 
-    nint = grid.num_interior
     pattern = grid.jacobian_pattern
     W = np.zeros((len(pattern.offsets), nint))
 
@@ -492,14 +505,9 @@ def assemble_jacobian(u, prob, t, psi0=None, fields=None):
                     add(o, qab * sa * sb / (4.0 * h[a] * h[b]))
     # first-order terms from psi(x, u, grad u)
     if t != 0.0:
-        x = grid.interior_coords()
-        core = (slice(1, -1),) * n
-        uvals = u.values[core].reshape(-1)
-        p = interior_gradients(u.values, grid)
-        _, psi_z, psi_p = prob.psi_terms(x, uvals, p)
-        center -= t * np.broadcast_to(psi_z, (nint,))
-        if np.any(np.asarray(psi_p) != 0.0):
-            psi_p = np.broadcast_to(psi_p, (nint, n))
+        center -= t * np.broadcast_to(fields.psi_z, (nint,))
+        if np.any(np.asarray(fields.psi_p) != 0.0):
+            psi_p = np.broadcast_to(fields.psi_p, (nint, n))
             for a in range(n):
                 for s in (1, -1):
                     o = [0] * n
@@ -511,11 +519,6 @@ def assemble_jacobian(u, prob, t, psi0=None, fields=None):
         (W.reshape(-1)[pattern.gather], pattern.indices, pattern.indptr),
         shape=(nint, nint),
     )
-
-    if psi0 is None:
-        rhs = np.zeros(nint)
-    else:
-        rhs = -(fields.values - _forcing(u.values, grid, prob, t, psi0))
     return SparseSystem(matrix=matrix, rhs=rhs, grid=grid)
 
 

@@ -1,6 +1,6 @@
 """Symmetric-matrix layer over the sigma-quotient algebra.
 
-Holds the stencil-scale eigendecomposition (cyclic Jacobi, n <= 8), the
+Holds the stencil-scale eigendecomposition (LAPACK ``eigh``, n <= 8), the
 trace transform A -> tau*tr(A)*I - A, the matrix operator built from the
 sigma-quotient root of the transformed eigenvalues, its first derivative
 matrices, and the divided-difference form of its off-diagonal second
@@ -17,7 +17,6 @@ from . import symfun
 from .symfun import QuotientSpec
 
 _MAX_DIM = 8
-_MAX_SWEEPS = 100
 
 
 @dataclass(frozen=True)
@@ -67,75 +66,15 @@ def eta_transform(A, tau):
     return tau * tr[..., None, None] * np.eye(n) - A
 
 
-def _jacobi(A):
-    """Batched cyclic Jacobi diagonalization of symmetric matrices.
-
-    Sweeps the strict upper triangle in a fixed (row, column) order, which
-    makes the result deterministic.  Converges when the off-diagonal
-    Frobenius norm of every matrix in the batch is <= 1e-14 times its norm.
-    Returns (eigenvalues ascending, orthogonal eigenvector columns).
-    """
-    A = np.array(A, dtype=float)
-    n = A.shape[-1]
-    V = np.broadcast_to(np.eye(n), A.shape).copy()
-    scale = np.sqrt(np.sum(A * A, axis=(-2, -1)))
-    iu, ju = np.triu_indices(n, 1)
-
-    for _ in range(_MAX_SWEEPS):
-        off = np.sqrt(2.0 * np.sum(A[..., iu, ju] ** 2, axis=-1))
-        converged = off <= 1e-14 * scale
-        if np.all(converged):
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[..., p, q]
-                # freeze converged batch elements so each matrix follows
-                # exactly the trajectory it would take on its own
-                active = (np.abs(apq) > 0.0) & ~converged
-                if not np.any(active):
-                    continue
-                app = A[..., p, p]
-                aqq = A[..., q, q]
-                safe_apq = np.where(active, apq, 1.0)
-                with np.errstate(over="ignore"):
-                    # theta may overflow for denormal pivots; t then
-                    # underflows to 0, which is the right rotation limit
-                    theta = 0.5 * (aqq - app) / safe_apq
-                    t = np.sign(theta) / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
-                t = np.where(theta == 0.0, 1.0, t)  # sign(0) = 0 would stall
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                c = np.where(active, c, 1.0)
-                s = np.where(active, s, 0.0)
-                # A <- J^T A J with J the rotation in the (p, q) plane
-                rp = A[..., p, :].copy()
-                rq = A[..., q, :].copy()
-                A[..., p, :] = c[..., None] * rp - s[..., None] * rq
-                A[..., q, :] = s[..., None] * rp + c[..., None] * rq
-                cp = A[..., :, p].copy()
-                cq = A[..., :, q].copy()
-                A[..., :, p] = c[..., None] * cp - s[..., None] * cq
-                A[..., :, q] = s[..., None] * cp + c[..., None] * cq
-                vp = V[..., :, p].copy()
-                vq = V[..., :, q].copy()
-                V[..., :, p] = c[..., None] * vp - s[..., None] * vq
-                V[..., :, q] = s[..., None] * vp + c[..., None] * vq
-    else:
-        raise EigenFailureError(
-            f"Jacobi sweeps did not converge in {_MAX_SWEEPS} passes"
-        )
-
-    diag = np.diagonal(A, axis1=-2, axis2=-1).copy()
-    order = np.argsort(diag, axis=-1, kind="stable")
-    values = np.take_along_axis(diag, order, axis=-1)
-    vectors = np.take_along_axis(V, order[..., None, :], axis=-1)
-    return values, vectors
-
-
 def sym_eig(A):
-    """Eigendecomposition of one symmetric matrix or a batch of them."""
+    """Eigendecomposition of one symmetric matrix or a batch of them.
+
+    LAPACK ``eigh``: deterministic for a fixed LAPACK build."""
     A = _as_symmetric(A)
-    values, vectors = _jacobi(A)
+    try:
+        values, vectors = np.linalg.eigh(A)
+    except np.linalg.LinAlgError as err:
+        raise EigenFailureError(f"eigh did not converge: {err}") from err
     return EigenPair(values=values, vectors=vectors)
 
 
@@ -147,8 +86,7 @@ def operator_value(U, spec):
     """
     U = _as_symmetric(U)
     _check_spec_dim(U, spec)
-    lam, _ = _jacobi(U)
-    return symfun.quotient_value(lam, spec)
+    return symfun.quotient_value(sym_eig(U).values, spec)
 
 
 def operator_gradient(U, spec):
@@ -161,9 +99,9 @@ def operator_gradient(U, spec):
     """
     U = _as_symmetric(U)
     _check_spec_dim(U, spec)
-    lam, vec = _jacobi(U)
-    f = symfun.quotient_gradient(lam, spec)
-    G = np.einsum("...ip,...p,...jp->...ij", vec, f, vec)
+    pair = sym_eig(U)
+    f = symfun.quotient_gradient(pair.values, spec)
+    G = np.einsum("...ip,...p,...jp->...ij", pair.vectors, f, pair.vectors)
     return symmetrize(G)
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import numpy as np
@@ -122,6 +123,26 @@ def test_invalid_problem_exits_64(tmp_path):
     cfg = _base_config(tmp_path, psi="50")  # subsolution inequality fails
     path = _write(tmp_path, "p.cfg", cfg)
     assert _run(path) == 64
+
+
+@pytest.mark.parametrize(
+    "newton",
+    [
+        {"tol": math.nan},
+        {"tol": math.inf},
+        {"tol": 0.0},
+        {"tol": -1.0},
+        {"max_iters": 0},
+    ],
+)
+def test_invalid_newton_params_exit_64(tmp_path, capsys, newton):
+    # json.load accepts NaN and Infinity; a NaN tolerance once ended every
+    # stage at once and reported convergence
+    path = _write(tmp_path, "n.cfg", _base_config(tmp_path, newton=newton))
+    assert _run(path) == 64
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "config"
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_solver_failure_exits_one(tmp_path, capsys):

@@ -242,18 +242,27 @@ def test_inadmissible_prediction_falls_back_to_last_solution(fault, monkeypatch,
 
 def test_newton_solves_with_the_stage_residual(monkeypatch):
     # _newton hands the residual it holds to the linear solve: the
-    # right-hand side is bit-identical to the one assembly would compute,
-    # and assembly evaluates psi only once, for its derivatives
+    # right-hand side is bit-identical to the one assembly would compute.
+    # psi is evaluated once per state: assembly reads psi_z and psi_p from
+    # the state it is handed, and the only other evaluations are one in
+    # validate_problem and one in run_diagnostics
     prob = _continuation2d(17)
     psi0 = homotopy_rhs_field(prob)
     psi_calls = []
+    states = []
     real_terms = ProblemSpec.psi_terms
+    real_state = solver_mod._residual_state
     real_assemble, real_solve = grid_mod.assemble_jacobian, solver_mod.linear_solve
     seen = []
 
     def psi_terms(self, *args):
         psi_calls.append(1)
         return real_terms(self, *args)
+
+    def residual_state(u, prob_, t, psi0_):
+        out = real_state(u, prob_, t, psi0_)
+        states.append(t)
+        return out
 
     def assemble(u, prob_, t, **kwargs):
         before = len(psi_calls)
@@ -266,12 +275,15 @@ def test_newton_solves_with_the_stage_residual(monkeypatch):
         return real_solve(sys_)
 
     monkeypatch.setattr(ProblemSpec, "psi_terms", psi_terms)
+    monkeypatch.setattr(solver_mod, "_residual_state", residual_state)
     monkeypatch.setattr(grid_mod, "assemble_jacobian", assemble)
     monkeypatch.setattr(solver_mod, "linear_solve", solve)
     solve_dirichlet(prob)
+    assert all(t > 0.0 for t in states)
+    assert len(psi_calls) == len(states) + 2
     assert seen
     for u, t, psi_evals, rhs in seen:
-        assert t > 0.0 and psi_evals == 1
+        assert t > 0.0 and psi_evals == 0
         assert np.array_equal(rhs, real_assemble(u, prob, t, psi0=psi0).rhs)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hessquot import spectral, symfun
-from hessquot.errors import NotAdmissibleError
+from hessquot.errors import EigenFailureError, NotAdmissibleError
 from hessquot.spectral import (
     eta_operator_gradient,
     eta_transform,
@@ -80,6 +80,15 @@ def test_sym_eig_rejects_bad_input():
         sym_eig(np.eye(9))
     with pytest.raises(ValueError):
         sym_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_sym_eig_reports_lapack_failure(monkeypatch):
+    def eigh(A):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    with pytest.raises(EigenFailureError, match="did not converge"):
+        sym_eig(np.eye(3))
 
 
 def test_operator_value_examples():
