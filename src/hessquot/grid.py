@@ -47,6 +47,8 @@ class Grid:
             raise ValueError(f"resolution must be >= 5, got {self.res}")
         object.__setattr__(self, "lo", tuple(float(v) for v in self.lo))
         object.__setattr__(self, "hi", tuple(float(v) for v in self.hi))
+        if not all(map(math.isfinite, self.lo + self.hi)):
+            raise ValueError("lo/hi must be finite")
         if not all(b > a for a, b in zip(self.lo, self.hi)):
             raise ValueError("need hi > lo on every axis")
 

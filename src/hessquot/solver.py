@@ -19,6 +19,19 @@ the last solution.  Both stages share the boundary data, so the
 prediction is boundary-correct.  A prediction that leaves the cone, or
 where psi faults, is dropped and that attempt starts from the last
 solution.  The step controller does not look at the predictor.
+
+That walk is needed once, on the coarsest grid (grid sequencing, or
+nested iteration: Newton iteration counts are asymptotically
+mesh-independent, Allgower, Boehmer, Potra & Rheinboldt, SIAM J. Numer.
+Anal. 1986).  A grid whose res - 1 is even holds every other node of the
+grid with (res + 1) / 2 nodes per axis; while that coarse grid keeps at
+least 13 nodes per axis, the problem is first solved there, recursively,
+and the coarse solution is interpolated back (per-axis cubic, boundary
+reset to phi) as the start of one Newton solve at t = 1.  A level falls
+back to the full continuation from the subsolution on its own grid when
+that start is not admissible, psi faults there, or any failure occurs on
+that level or below, so a failed solve always reports an iterate on the
+target grid.
 """
 
 import logging
@@ -39,6 +52,7 @@ from .errors import (
     NotAdmissibleError,
     ProblemSpecError,
     SingularSystemError,
+    SolverError,
 )
 from .grid import Grid, GridFunction, _residual_state
 from .symfun import QuotientSpec
@@ -161,10 +175,14 @@ class ProblemSpec:
 
 @dataclass
 class StageRecord:
+    """One accepted Newton solve at parameter t on the grid with res nodes
+    per axis."""
+
     t: float
     newton_iters: int
     final_residual_inf: float
     min_admissibility_margin: float
+    res: int
 
     def as_dict(self):
         return {
@@ -172,7 +190,20 @@ class StageRecord:
             "newton_iters": self.newton_iters,
             "final_residual_inf": self.final_residual_inf,
             "min_admissibility_margin": self.min_admissibility_margin,
+            "res": self.res,
         }
+
+
+@dataclass
+class LevelRecord:
+    """One solved grid level; ``fallback`` names the failure that made it
+    walk the continuation on its own grid, None when it did not."""
+
+    res: int
+    fallback: str | None = None
+
+    def as_dict(self):
+        return {"res": self.res, "fallback": self.fallback}
 
 
 @dataclass
@@ -183,10 +214,12 @@ class SolveReport:
     wall_time: float
     warnings: list
     degenerate_2d: bool = False
+    levels: list = field(default_factory=list)
 
     def as_dict(self):
         return {
             "stages": [s.as_dict() for s in self.stages],
+            "levels": [v.as_dict() for v in self.levels],
             "converged": self.converged,
             "diagnostics": self.diagnostics.as_dict() if self.diagnostics else None,
             "wall_time": self.wall_time,
@@ -400,7 +433,7 @@ def _newton(u0, t, prob, psi0, fallback=None):
             "t=%.6g iter=%d residual_inf=%.6e step=%.5g margin=%.6e",
             t, iters, rinf, s, fields.margin,
         )
-    return u, StageRecord(t, iters, rinf, fields.margin)
+    return u, StageRecord(t, iters, rinf, fields.margin, prob.grid.res)
 
 
 def newton_stage(u0, t, prob, psi0=None):
@@ -419,67 +452,43 @@ def _secant(u_prev, t_prev, u, t, t_next):
     return GridFunction(u.grid, u.values + w * (u.values - u_prev.values))
 
 
-def solve_dirichlet(prob):
-    """March the continuation from the subsolution to the target problem.
+def _with_boundary_data(values, prob):
+    """Grid function of the nodal array ``values`` with its boundary nodes
+    set to phi, in place."""
+    u = GridFunction(prob.grid, values)
+    phi = grid_mod.sample_expression(prob.phi, prob.grid)
+    bmask = prob.grid.boundary_mask()
+    u.values[bmask] = phi.values[bmask]
+    return u
 
-    Returns the discrete solution and a report with one record per stage,
-    the diagnostics of the final iterate, and any load-time warnings.  The
-    continuation starts at t = 0 where the subsolution is exact, advances
-    t adaptively (halving on stage failure, doubling after stages of at
-    most three Newton iterations up to 0.25, never decreasing), and fails
-    with HomotopyStallError if the step control collapses below its floor.
-    Every attempt after the first accepted stage starts Newton from the
-    secant prediction through the last two accepted stages, or from the
-    last solution when the prediction is not admissible; each attempt logs
-    its start at INFO.
+
+def _continuation(prob, stages):
+    """March the continuation on prob.grid from the subsolution to t = 1.
+
+    Appends one record per accepted stage to ``stages`` and returns the
+    t = 1 solution.  t advances adaptively: halving on stage failure,
+    doubling after stages of at most three Newton iterations up to 0.25,
+    never decreasing.  Every attempt after the first accepted stage starts
+    Newton from the secant prediction through the last two accepted
+    stages, or from the last solution when the prediction is not
+    admissible; each attempt logs its start at INFO.  Fails with
+    HomotopyStallError if the step control collapses below its floor.
     """
-    start = time.perf_counter()
-    warnings_out = validate_problem(prob)
     g = prob.grid
-
-    u = grid_mod.sample_expression(prob.subsolution, g)
-    phi_gf = grid_mod.sample_expression(prob.phi, g)
-    bmask = g.boundary_mask()
-    u.values[bmask] = phi_gf.values[bmask]
-
+    u = _with_boundary_data(grid_mod.sample_expression(prob.subsolution, g).values, prob)
     psi0 = homotopy_rhs_field(prob)
-    stages = []
-
-    def finish(u_final):
-        from .verify import run_diagnostics
-
-        diag = run_diagnostics(u_final, prob)
-        report = SolveReport(
-            stages=stages,
-            converged=True,
-            diagnostics=diag,
-            wall_time=time.perf_counter() - start,
-            warnings=warnings_out,
-            degenerate_2d=prob.degenerate_2d,
-        )
-        return u_final, report
-
-    def partial_report():
-        return SolveReport(
-            stages=stages,
-            converged=False,
-            diagnostics=None,
-            wall_time=time.perf_counter() - start,
-            warnings=warnings_out,
-            degenerate_2d=prob.degenerate_2d,
-        )
 
     # degenerate input: the subsolution already solves the target problem
     r1, fields1 = _residual_state(u, prob, 1.0, psi0)
     rinf1 = float(np.abs(r1).max())
     if rinf1 <= prob.newton.tol_residual:
-        stages.append(StageRecord(1.0, 0, rinf1, fields1.margin))
+        stages.append(StageRecord(1.0, 0, rinf1, fields1.margin, g.res))
         log.info("subsolution already solves the target problem (residual %.3e)", rinf1)
-        return finish(u)
+        return u
 
     # the operator fields do not depend on t
     r0 = fields1.values - psi0
-    stages.append(StageRecord(0.0, 0, float(np.abs(r0).max()), fields1.margin))
+    stages.append(StageRecord(0.0, 0, float(np.abs(r0).max()), fields1.margin, g.res))
 
     t = 0.0
     u_prev = t_prev = None
@@ -500,7 +509,6 @@ def solve_dirichlet(prob):
                     f"continuation stalled at t={t:g} with dt={dt:.3e} "
                     f"< dt_min={prob.homotopy.dt_min:g}",
                     iterate=err.iterate if err.iterate is not None else u,
-                    report=partial_report(),
                 ) from err
             continue
         u_prev, t_prev = u, t
@@ -508,4 +516,120 @@ def solve_dirichlet(prob):
         stages.append(record)
         if record.newton_iters <= 3:
             dt = min(2.0 * dt, 0.25)
-    return finish(u)
+    return u
+
+
+# A level is solved from a coarse level when res - 1 is even and the
+# coarse grid, (res + 1) / 2 nodes per axis, has at least this many.
+_COARSEST_RES = 13
+
+
+def _coarse_problem(prob):
+    """prob on the grid of every other node, or None where there is none
+    to use (see _COARSEST_RES).  Coarse nodes are fine nodes, so a field
+    forcing restricts by injection."""
+    g = prob.grid
+    res = (g.res + 1) // 2
+    if (g.res - 1) % 2 or res < _COARSEST_RES:
+        return None
+    psi = prob.psi
+    if prob.field_psi:
+        fine = psi.values.reshape(g.interior_shape)
+        psi = PsiField(fine[(slice(1, None, 2),) * g.n].reshape(-1))
+    return replace(prob, grid=replace(g, res=res), psi=psi)
+
+
+def _prolong(values):
+    """Nodal values interpolated to the grid with half the spacing.
+
+    One axis at a time: coarse nodes keep their values, and each new
+    midpoint takes the cubic (-1, 9, 9, -1)/16 of its four neighbours on
+    the axis, or the one-sided (5, 15, -5, 1)/16 next to the boundary.
+    """
+    for axis in range(values.ndim):
+        v = np.moveaxis(values, axis, 0)
+        out = np.empty((2 * v.shape[0] - 1,) + v.shape[1:])
+        out[0::2] = v
+        out[3:-3:2] = (9.0 * (v[1:-2] + v[2:-1]) - (v[:-3] + v[3:])) / 16.0
+        out[1] = (5.0 * v[0] + 15.0 * v[1] - 5.0 * v[2] + v[3]) / 16.0
+        out[-2] = (5.0 * v[-1] + 15.0 * v[-2] - 5.0 * v[-3] + v[-4]) / 16.0
+        values = np.moveaxis(out, 0, axis)
+    return values
+
+
+def _solve_levels(prob, stages, levels):
+    """Solve prob on its grid and append its level to ``levels``.
+
+    With a coarse problem: solve that (recursively), prolong its solution,
+    reset the boundary to phi and run Newton at t = 1.  Without one, or
+    when the prolonged start is not admissible, psi faults there, or any
+    solve on this level or below fails, walk the continuation on this
+    grid.  The records of every Newton solve run go to ``stages``.
+    """
+    coarse = _coarse_problem(prob)
+    fallback = None
+    if coarse is not None:
+        try:
+            uc = _solve_levels(coarse, stages, levels)
+            u0 = _with_boundary_data(_prolong(uc.values), prob)
+            log.info(
+                "level res=%d starts from the res=%d solution",
+                prob.grid.res, coarse.grid.res,
+            )
+            # at t = 1 the t = 0 forcing carries no weight
+            u, record = _newton(u0, 1.0, prob, 0.0)
+        except (SolverError, NotAdmissibleError, expr_mod.DomainFaultError) as err:
+            fallback = type(err).__name__
+            log.info(
+                "level res=%d falls back to the continuation (%s)",
+                prob.grid.res, fallback,
+            )
+        else:
+            stages.append(record)
+            levels.append(LevelRecord(prob.grid.res))
+            return u
+    u = _continuation(prob, stages)
+    levels.append(LevelRecord(prob.grid.res, fallback))
+    return u
+
+
+def solve_dirichlet(prob):
+    """Solve the target problem by grid sequencing over the continuation.
+
+    The continuation (see _continuation) runs on the coarsest level: the
+    grid reached by halving the node count per axis while res - 1 is even
+    and (res + 1) / 2 >= 13.  Each finer level runs Newton at t = 1 from
+    the cubic prolongation of the level below, and falls back to the
+    continuation on its own grid when that start is not admissible, psi
+    faults there, or any solve on it or below fails.  Problems validate
+    and solutions are diagnosed on the target grid only.
+
+    Returns the discrete solution and a report with one record per Newton
+    solve (with the res it ran on), one record per solved level (coarsest
+    first, with the failure that made it fall back, if any), the
+    diagnostics of the final iterate, and any load-time warnings.  A
+    failure carries the partial report and an iterate on prob.grid.
+    """
+    start = time.perf_counter()
+    warnings_out = validate_problem(prob)
+    stages, levels = [], []
+
+    def report(converged, diagnostics=None):
+        return SolveReport(
+            stages=stages,
+            converged=converged,
+            diagnostics=diagnostics,
+            wall_time=time.perf_counter() - start,
+            warnings=warnings_out,
+            degenerate_2d=prob.degenerate_2d,
+            levels=levels,
+        )
+
+    try:
+        u = _solve_levels(prob, stages, levels)
+    except SolverError as err:
+        err.report = report(False)
+        raise
+    from .verify import run_diagnostics
+
+    return u, report(True, run_diagnostics(u, prob))

@@ -25,7 +25,7 @@ class QuotientSpec:
     """The (n, k, l) triple plus the trace weight tau defining the operator
     (sigma_k / sigma_l)^(1/(k-l)) composed with A -> tau*tr(A)*I - A.
 
-    Requires 0 <= l, l + 2 <= k <= n and tau >= 1.
+    Requires 0 <= l, l + 2 <= k <= n and a finite tau >= 1.
     """
 
     n: int
@@ -40,8 +40,8 @@ class QuotientSpec:
             raise ValueError(
                 f"need 0 <= l and l + 2 <= k <= n, got k={self.k}, l={self.l}, n={self.n}"
             )
-        if not self.tau >= 1.0:
-            raise ValueError(f"tau must be >= 1, got {self.tau}")
+        if not (1.0 <= self.tau < math.inf):
+            raise ValueError(f"tau must be finite and >= 1, got {self.tau}")
 
     @property
     def degree_gap(self):

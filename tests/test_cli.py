@@ -145,6 +145,26 @@ def test_invalid_newton_params_exit_64(tmp_path, capsys, newton):
     assert not (tmp_path / "out.json").exists()
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        {"tau": math.inf},
+        {"tau": math.nan},
+        {"domain": {"lo": [0, 0, 0], "hi": [1, 1, math.inf], "resolution": 7}},
+        {"domain": {"lo": [-math.inf, 0, 0], "hi": [1, 1, 1], "resolution": 7}},
+        {"domain": {"lo": [0, math.nan, 0], "hi": [1, 1, 1], "resolution": 7}},
+    ],
+)
+def test_non_finite_problem_data_exit_64(tmp_path, capsys, extra):
+    # an infinite tau or box edge used to pass construction and end in an
+    # uncaught "NaN or Inf" ValueError from deep inside the solve
+    path = _write(tmp_path, "f.cfg", _base_config(tmp_path, **extra))
+    assert _run(path) == 64
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "config"
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_solver_failure_exits_one(tmp_path, capsys):
     cfg = {
         "version": 1,
@@ -197,8 +217,8 @@ def test_no_stray_temp_files(tmp_path):
     assert leftovers == []
 
 
-def test_determinism_byte_identical(tmp_path):
-    cfg = _base_config(tmp_path)
+def _two_runs_agree(tmp_path, cfg):
+    # byte-identical grids and reports except wall_time; returns the report
     del cfg["out"]
     path = _write(tmp_path, "d.cfg", cfg)
     assert _run(path, "--out", str(tmp_path / "a")) == 0
@@ -209,3 +229,24 @@ def test_determinism_byte_identical(tmp_path):
     ra.pop("wall_time")
     rb.pop("wall_time")
     assert ra == rb
+    return ra
+
+
+def test_determinism_byte_identical(tmp_path):
+    _two_runs_agree(tmp_path, _base_config(tmp_path))
+
+
+def test_determinism_byte_identical_sequenced(tmp_path):
+    # res 25 is solved from res 13 (res 7 above has no coarse level)
+    quad = "(x1^2 + x2^2)/2"
+    cfg = _base_config(
+        tmp_path, n=2, k=2, l=0,
+        domain={"lo": [0, 0], "hi": [1, 1], "resolution": 25},
+        psi=f"0.5 + 0.5*(u - {quad}) + 0.1*(p1^2 + p2^2)", phi=quad, subsolution=quad,
+    )
+    report = _two_runs_agree(tmp_path, cfg)
+    assert report["levels"] == [
+        {"res": 13, "fallback": None},
+        {"res": 25, "fallback": None},
+    ]
+    assert [s["res"] for s in report["stages"]][-2:] == [13, 25]

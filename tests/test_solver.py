@@ -10,6 +10,7 @@ from hessquot import grid as grid_mod
 from hessquot import solver as solver_mod
 from hessquot.errors import (
     HomotopyStallError,
+    NewtonDivergenceError,
     NotAdmissibleError,
     ProblemSpecError,
     SingularSystemError,
@@ -25,6 +26,7 @@ from hessquot.solver import (
     HomotopyParams,
     NewtonParams,
     ProblemSpec,
+    SolveReport,
     homotopy_rhs_field,
     linear_solve,
     newton_stage,
@@ -55,6 +57,14 @@ def _continuation2d(res, c=0.1):
         grid=g, quotient=QuotientSpec(2, 2, 0, tau=1.0), psi=psi, phi=quad,
         subsolution=quad,
     )
+
+
+def _solve_single_grid(prob):
+    # the continuation alone on prob.grid; solve_dirichlet walks it only on
+    # its coarsest grid level, and these tests pin its path at res 33 and 97
+    stages = []
+    u = solver_mod._continuation(prob, stages)
+    return u, SolveReport(stages, True, None, 0.0, [])
 
 
 def _start_records(caplog):
@@ -183,7 +193,7 @@ def test_easy_stages_do_not_churn(caplog):
 def test_gradient_dependent_path_2d(caplog):
     prob = _continuation2d(33)
     caplog.set_level(logging.INFO, logger="hessquot.solver")
-    u, report = solve_dirichlet(prob)
+    u, report = _solve_single_grid(prob)
     assert report.converged
     ts = [s.t for s in report.stages]
     assert ts[0] == 0.0 and ts[-1] == 1.0
@@ -227,7 +237,7 @@ def test_inadmissible_prediction_falls_back_to_last_solution(fault, monkeypatch,
     monkeypatch.setattr(solver_mod, "_secant", secant)
     monkeypatch.setattr(solver_mod, "_residual_state", residual_state)
     caplog.set_level(logging.INFO, logger="hessquot.solver")
-    _, report = solve_dirichlet(prob)
+    _, report = _solve_single_grid(prob)
     assert report.converged
     assert report.stages[-1].final_residual_inf <= prob.newton.tol_residual
     # every attempt started from the last solution, so the path is the
@@ -455,8 +465,23 @@ def test_continuation_never_falls_back_to_lu(monkeypatch):
     # cycle just above rtol and needs a third
     prob = _continuation2d(97, c=0.092)
     _forbid_lu(monkeypatch)
-    _, report = solve_dirichlet(prob)
+    cycles = []  # GMRES restart cycles per system
+    gmres = sparse_linalg.gmres
+
+    def spy(*args, **kwargs):
+        cycles.append(0)
+
+        def count(_):
+            cycles[-1] += 1
+
+        # the "x" callback runs once at the end of every restart cycle
+        return gmres(*args, callback=count, callback_type="x", **kwargs)
+
+    monkeypatch.setattr(sparse_linalg, "gmres", spy)
+    _, report = _solve_single_grid(prob)
     assert report.converged and report.stages[-1].t == 1.0
+    # otherwise the path no longer reaches the cycle cap this test guards
+    assert max(cycles) > 2
 
 
 def test_gradient_system_is_nonsymmetric():
@@ -521,3 +546,149 @@ def test_unchecked_gmres_result_is_never_returned(fake, monkeypatch):
     with pytest.raises(SingularSystemError):
         linear_solve(_with_row(sys_, mid, source=mid + 1))
     assert lu_calls == [1, 1]
+
+
+# grid sequencing: the continuation on the coarsest level, one t = 1 Newton
+# solve per finer level
+
+SMOOTH3 = "exp((x1^2 + x2^2 + x3^2)/4)"
+
+
+def _levels(report):
+    return [(v.res, v.fallback) for v in report.levels]
+
+
+def _newton_failing_on(res):
+    # _newton that fails every solve on grids with res nodes per axis
+    real = solver_mod._newton
+
+    def newton(u0, t, prob, *args, **kwargs):
+        if prob.grid.res == res:
+            raise NewtonDivergenceError("forced", iterate=u0)
+        return real(u0, t, prob, *args, **kwargs)
+
+    return newton
+
+
+@pytest.mark.parametrize(
+    "res, coarse", [(97, 49), (25, 13), (24, None), (23, None), (21, None)]
+)
+def test_coarse_level_condition(res, coarse):
+    # res - 1 even and (res + 1) / 2 >= 13
+    found = solver_mod._coarse_problem(_continuation2d(res))
+    assert (None if found is None else found.grid.res) == coarse
+
+
+@pytest.mark.parametrize(
+    "ustar, lo, hi",
+    [
+        ("x1^3 - 2*x1^2*x2 + x2^3 + x1*x2", (0, 0), (1, 1)),
+        ("x1^3*x2^2*x3 - x2^3 + x1*x3^2", (-1, 0, 0.5), (1, 2, 1)),
+    ],
+)
+def test_prolongation_is_exact_on_per_axis_cubics(ustar, lo, hi):
+    n = len(lo)
+    e = expr_mod.parse(ustar, n)
+    coarse = sample_expression(e, Grid(n=n, lo=lo, hi=hi, res=13))
+    fine = sample_expression(e, Grid(n=n, lo=lo, hi=hi, res=25))
+    out = solver_mod._prolong(coarse.values)
+    assert np.abs(out - fine.values).max() <= 1e-13 * np.abs(fine.values).max()
+
+
+@pytest.mark.parametrize(
+    "n, res, spec",
+    [(2, 97, QuotientSpec(2, 2, 0)), (3, 25, QuotientSpec(3, 3, 1))],
+)
+def test_field_forcing_restricts_by_injection(n, res, spec):
+    ustar = expr_mod.parse(SMOOTH3 if n == 3 else "exp((x1^2 + x2^2)/4)", n)
+    box = {"n": n, "lo": (0,) * n, "hi": (1,) * n}
+    fine, _ = manufactured_problem(ustar, Grid(res=res, **box), spec)
+    coarse = solver_mod._coarse_problem(fine)
+    direct, _ = manufactured_problem(ustar, coarse.grid, spec)
+    assert coarse.grid == Grid(res=(res + 1) // 2, **box)
+    np.testing.assert_allclose(coarse.psi.values, direct.psi.values, rtol=1e-14, atol=0)
+
+
+def test_sequenced_solve_matches_single_grid_2d():
+    prob = _continuation2d(97)
+    u, report = solve_dirichlet(prob)
+    ref, _ = _solve_single_grid(prob)
+    assert np.abs(u.values - ref.values).max() <= 1e-10
+    assert _levels(report) == [(13, None), (25, None), (49, None), (97, None)]
+    # the path is walked on the coarsest grid only
+    assert {s.res for s in report.stages if s.t < 1.0} == {13}
+    assert [(s.res, s.t) for s in report.stages[-3:]] == [(25, 1.0), (49, 1.0), (97, 1.0)]
+    assert report.stages[-1].newton_iters <= 3
+
+
+@pytest.mark.parametrize("k, l", [(3, 1), (2, 0)])
+def test_sequenced_solve_matches_single_grid_3d(k, l):
+    prob, _ = manufactured_problem(
+        expr_mod.parse(SMOOTH3, 3), _grid3(25), QuotientSpec(3, k, l),
+        subsolution=expr_mod.parse(f"{SMOOTH3} - 0.55*{BUMP}", 3),
+    )
+    u, report = solve_dirichlet(prob)
+    ref, _ = _solve_single_grid(prob)
+    assert np.abs(u.values - ref.values).max() <= 1e-10
+    assert _levels(report) == [(13, None), (25, None)]
+
+
+def test_inadmissible_prolongation_falls_back(monkeypatch):
+    prob = _continuation2d(25)
+    real = solver_mod._prolong
+    # the negated convex solution leaves the cone at every interior node
+    monkeypatch.setattr(solver_mod, "_prolong", lambda values: -real(values))
+    u, report = solve_dirichlet(prob)
+    assert report.converged
+    assert report.as_dict()["levels"] == [
+        {"res": 13, "fallback": None},
+        {"res": 25, "fallback": "NotAdmissibleError"},
+    ]
+    # the level walked the whole path on its own grid, from t = 0
+    assert [s.t for s in report.stages if s.res == 25][0] == 0.0
+    ref, _ = _solve_single_grid(prob)
+    assert np.array_equal(u.values, ref.values)
+
+
+def test_coarse_stall_falls_back_and_converges(monkeypatch):
+    prob = _continuation2d(49)
+    monkeypatch.setattr(solver_mod, "_newton", _newton_failing_on(13))
+    u, report = solve_dirichlet(prob)
+    assert report.converged
+    assert _levels(report) == [(25, "HomotopyStallError"), (49, None)]
+    r = assemble_residual(u, prob, 1.0, np.zeros(prob.grid.num_interior))
+    assert np.abs(r).max() <= prob.newton.tol_residual
+    ref, _ = _solve_single_grid(prob)
+    assert np.abs(u.values - ref.values).max() <= 1e-10
+
+
+def test_failed_t1_newton_falls_back(monkeypatch):
+    prob = _continuation2d(25)
+    real = solver_mod._newton
+    calls = []
+
+    def newton(u0, t, prob_, *args, **kwargs):
+        # the first solve on the target grid is the one from the prolonged start
+        if prob_.grid.res == 25 and not calls:
+            calls.append(t)
+            raise NewtonDivergenceError("forced", iterate=u0)
+        return real(u0, t, prob_, *args, **kwargs)
+
+    monkeypatch.setattr(solver_mod, "_newton", newton)
+    u, report = solve_dirichlet(prob)
+    assert report.converged and calls == [1.0]
+    assert _levels(report) == [(13, None), (25, "NewtonDivergenceError")]
+
+
+def test_sequenced_failure_carries_target_iterate(monkeypatch):
+    # Newton fails on the target grid, from the prolonged start and on
+    # every stage of the fallback continuation: the caller sees that stall
+    prob = _continuation2d(25)
+    monkeypatch.setattr(solver_mod, "_newton", _newton_failing_on(25))
+    with pytest.raises(HomotopyStallError) as err:
+        solve_dirichlet(prob)
+    assert err.value.iterate.grid == prob.grid
+    report = err.value.report
+    assert report is not None and not report.converged
+    assert _levels(report) == [(13, None)]
+    assert report.stages[-1].res == 25
