@@ -35,6 +35,8 @@ from .symfun import QuotientSpec
 log = logging.getLogger("hessquot.cli")
 
 _MODES = ("solve", "manufactured", "selftest")
+# psi may fault at the start state though validation probed exact gradients
+_PROBLEM_ERRORS = (ProblemSpecError, NotAdmissibleError, expr_mod.DomainFaultError)
 _LEVELS = {"debug": logging.DEBUG, "info": logging.INFO,
            "warning": logging.WARNING, "error": logging.ERROR}
 
@@ -83,10 +85,9 @@ def _build_problem(cfg, mode):
     n = _require(cfg, "n", int)
     k = _require(cfg, "k", int)
     l = _require(cfg, "l", int)
-    tau = float(cfg.get("tau", 1.0))
     try:
-        quotient = QuotientSpec(n=n, k=k, l=l, tau=tau)
-    except ValueError as err:
+        quotient = QuotientSpec(n=n, k=k, l=l, tau=float(cfg.get("tau", 1.0)))
+    except (TypeError, ValueError) as err:
         raise ConfigError(str(err)) from err
 
     domain = _require(cfg, "domain", dict)
@@ -95,7 +96,7 @@ def _build_problem(cfg, mode):
     res = _require(domain, "resolution", int, "domain")
     try:
         g = Grid(n=n, lo=tuple(lo), hi=tuple(hi), res=res)
-    except ValueError as err:
+    except (TypeError, ValueError) as err:
         raise ConfigError(str(err)) from err
 
     newton_cfg = cfg.get("newton", {})
@@ -109,7 +110,7 @@ def _build_problem(cfg, mode):
             dt_init=float(homotopy_cfg.get("dt", 0.1)),
             dt_min=float(homotopy_cfg.get("dt_min", 1e-4)),
         )
-    except ValueError as err:
+    except (TypeError, ValueError) as err:
         raise ConfigError(str(err)) from err
 
     def parse_field(key):
@@ -202,7 +203,10 @@ def run(config_path, args):
         mode = cfg.get("mode", "solve")
         if mode not in _MODES:
             raise ConfigError(f"unknown mode {mode!r} (expected one of {_MODES})")
-        seed = int(cfg.get("seed", 0))
+        try:
+            seed = int(cfg.get("seed", 0))
+        except (TypeError, ValueError) as err:
+            raise ConfigError(f"seed: {err}") from err
         out = cfg.get("out", {})
         if not isinstance(out, dict):
             raise ConfigError("'out' must be an object with grid/report paths")
@@ -233,13 +237,13 @@ def run(config_path, args):
     except ConfigError as err:
         _emit_error("config", str(err))
         return 64
-    except (ProblemSpecError, NotAdmissibleError) as err:
+    except _PROBLEM_ERRORS as err:
         _emit_error("problem", str(err))
         return 64
 
     try:
         u, report = solve_dirichlet(prob)
-    except (ProblemSpecError, NotAdmissibleError) as err:
+    except _PROBLEM_ERRORS as err:
         _emit_error("problem", str(err))
         return 64
     except SolverError as err:

@@ -17,7 +17,7 @@ arrays and fills the matrix data with one gather through that pattern.
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -103,6 +103,16 @@ class Grid:
         return np.array(
             [self.lo[a] + self.h[a] * node[a] for a in range(self.n)]
         )
+
+    @cached_property
+    def coarse(self):
+        """The grid of every other node, (res + 1) / 2 per axis, or None
+        when res - 1 is odd or that grid would have fewer than 13 nodes
+        per axis.  Cached, so its own cached data outlives a solve."""
+        res = (self.res + 1) // 2
+        if (self.res - 1) % 2 or res < 13:
+            return None
+        return replace(self, res=res)
 
     @cached_property
     def jacobian_pattern(self):
@@ -455,27 +465,27 @@ def assemble_residual(u, prob, t, psi0):
     return _residual_state(u, prob, t, psi0)[0]
 
 
-def assemble_jacobian(u, prob, t, psi0=None, fields=None):
+def assemble_jacobian(u, prob, t, psi0=None, state=None):
     """Sparse Jacobian of the stage residual with respect to interior values.
 
     Row p holds  sum_ij Q_ij(p) * (Hessian stencil weight of u_q in H_ij(p))
     minus t * psi_z(p) on the diagonal and t * psi_p(p) times the gradient
     stencil weights.  Stencil neighbors on the boundary carry no unknowns;
     their pinned values already live in the residual, which is returned
-    negated as the right-hand side when psi0 is provided.  Given the
-    ``fields`` of u's ``_residual_state`` at t, it evaluates nothing at u
-    and the right-hand side is zero: the caller holds the residual.
+    negated as the right-hand side.  Given ``state``, the (residual,
+    fields) of u's ``_residual_state`` at t, it evaluates nothing at u;
+    otherwise it evaluates that state with the t = 0 forcing psi0.
     """
     grid = prob.grid
     spec = prob.quotient
     n = grid.n
     h = grid.h
     nint = grid.num_interior
-    rhs = np.zeros(nint)
-    if fields is None:
-        r, fields = _residual_state(u, prob, t, 0.0 if psi0 is None else psi0)
-        if psi0 is not None:
-            rhs = -r
+    if state is None:
+        if psi0 is None:
+            raise TypeError("assemble_jacobian needs psi0 or the state at u")
+        state = _residual_state(u, prob, t, psi0)
+    r, fields = state
     # chain rule through the self-adjoint map U = tau*tr(H)*I - H
     Q = eta_transform(fields.gradient(spec), spec.tau)
 
@@ -521,7 +531,7 @@ def assemble_jacobian(u, prob, t, psi0=None, fields=None):
         (W.reshape(-1)[pattern.gather], pattern.indices, pattern.indptr),
         shape=(nint, nint),
     )
-    return SparseSystem(matrix=matrix, rhs=rhs, grid=grid)
+    return SparseSystem(matrix=matrix, rhs=-r, grid=grid)
 
 
 def exact_interior_gradients(e, grid):

@@ -17,21 +17,19 @@ through them, extrapolated to the new t (a first-order predictor,
 Allgower & Georg, *Numerical Continuation Methods*, ch. 2), instead of at
 the last solution.  Both stages share the boundary data, so the
 prediction is boundary-correct.  A prediction that leaves the cone, or
-where psi faults, is dropped and that attempt starts from the last
-solution.  The step controller does not look at the predictor.
+where psi faults, fails its attempt like a failed Newton solve: the step
+halves, and the next attempt starts on a shorter prediction.
 
 That walk is needed once, on the coarsest grid (grid sequencing, or
 nested iteration: Newton iteration counts are asymptotically
 mesh-independent, Allgower, Boehmer, Potra & Rheinboldt, SIAM J. Numer.
-Anal. 1986).  A grid whose res - 1 is even holds every other node of the
-grid with (res + 1) / 2 nodes per axis; while that coarse grid keeps at
-least 13 nodes per axis, the problem is first solved there, recursively,
-and the coarse solution is interpolated back (per-axis cubic, boundary
-reset to phi) as the start of one Newton solve at t = 1.  A level falls
-back to the full continuation from the subsolution on its own grid when
-that start is not admissible, psi faults there, or any failure occurs on
-that level or below, so a failed solve always reports an iterate on the
-target grid.
+Anal. 1986).  ``Grid.coarse`` is the grid of every other node while that
+grid keeps at least 13 nodes per axis; the continuation runs on the
+coarsest grid of that chain, and each finer grid runs one Newton solve at
+t = 1 from the interpolated (per-axis cubic, boundary reset to phi)
+solution of the grid below.  Any failure on the way up makes the solver
+walk the continuation once more, from the subsolution on the target grid,
+so a failed solve always reports an iterate on the target grid.
 """
 
 import logging
@@ -60,6 +58,9 @@ from .symfun import QuotientSpec
 log = logging.getLogger("hessquot.solver")
 
 _MIN_STEP = 2.0 ** -30
+# what fails a stage attempt or a grid level: a typed solver failure, or a
+# start that is not admissible or where psi faults
+_FAILURES = (SolverError, NotAdmissibleError, expr_mod.DomainFaultError)
 
 
 @dataclass(frozen=True)
@@ -282,11 +283,12 @@ def validate_problem(prob):
 
 
 def homotopy_rhs_field(prob):
-    """operator(U[subsolution]) on interior nodes, the t = 0 forcing.
+    """operator(U[subsolution]) on interior nodes, the t = 0 forcing
+    ``newton_stage`` uses by default.
 
     Uses the stencil Hessian of the sampled subsolution so the start of
-    the continuation is exact in the discrete sense; inadmissibility of
-    the discretized subsolution is an error.
+    the path is exact in the discrete sense; inadmissibility of the
+    discretized subsolution is an error.
     """
     sub = grid_mod.sample_expression(prob.subsolution, prob.grid)
     fields = grid_mod._operator_fields(sub.values, prob.grid, prob.quotient)
@@ -376,28 +378,18 @@ def _step(u, delta, s):
     return GridFunction(u.grid, out)
 
 
-def _newton(u0, t, prob, psi0, fallback=None):
+def _newton(u, t, prob, psi0):
     """Damped Newton on one continuation stage.
 
     Accepts the largest step s in {1, 1/2, 1/4, ...} that keeps every
     interior node admissible and shrinks the residual infinity norm by the
-    factor (1 - s/4); stops once the norm reaches the tolerance.
-
-    With a fallback, u0 is a predicted start: if it is not admissible or
-    psi faults there, Newton starts from the fallback instead.  The first
-    residual evaluation is that probe, so no start is evaluated twice.
+    factor (1 - s/4); stops once the norm reaches the tolerance.  A start
+    that is not admissible, or where psi faults, raises that error.
     """
     tol = prob.newton.tol_residual
-    u, start = u0, "unpredicted" if fallback is None else "predicted"
-    try:
-        r, fields = _residual_state(u, prob, t, psi0)
-    except (NotAdmissibleError, expr_mod.DomainFaultError):
-        if fallback is None:
-            raise
-        u, start = fallback, "fallback"
-        r, fields = _residual_state(u, prob, t, psi0)
+    r, fields = _residual_state(u, prob, t, psi0)
     rinf = float(np.abs(r).max())
-    log.info("stage t=%.6g start=%s residual_inf=%.6e", t, start, rinf)
+    log.info("stage t=%.6g residual_inf=%.6e", t, rinf)
     iters = 0
     while rinf > tol:
         if iters >= prob.newton.max_iters:
@@ -406,9 +398,9 @@ def _newton(u0, t, prob, psi0, fallback=None):
                 f"{prob.newton.max_iters} iterations",
                 iterate=u,
             )
-        # the residual is already at hand: assemble the matrix only
-        sys = grid_mod.assemble_jacobian(u, prob, t, fields=fields)
-        delta = linear_solve(replace(sys, rhs=-r))
+        # the state is already at hand: assembly evaluates nothing at u
+        sys = grid_mod.assemble_jacobian(u, prob, t, state=(r, fields))
+        delta = linear_solve(sys)
         s = 1.0
         while True:
             try:
@@ -466,29 +458,28 @@ def _continuation(prob, stages):
     """March the continuation on prob.grid from the subsolution to t = 1.
 
     Appends one record per accepted stage to ``stages`` and returns the
-    t = 1 solution.  t advances adaptively: halving on stage failure,
-    doubling after stages of at most three Newton iterations up to 0.25,
-    never decreasing.  Every attempt after the first accepted stage starts
-    Newton from the secant prediction through the last two accepted
-    stages, or from the last solution when the prediction is not
-    admissible; each attempt logs its start at INFO.  Fails with
-    HomotopyStallError if the step control collapses below its floor.
+    t = 1 solution.  The t = 0 forcing is the operator at the start
+    iterate.  Every attempt after the first accepted stage starts Newton
+    on the secant through the last two accepted stages, and logs its start
+    at INFO.  t advances adaptively: halving on a failed attempt (see
+    _FAILURES), doubling after stages of at most three Newton iterations
+    up to 0.25, never decreasing.  Fails with HomotopyStallError if the
+    step control collapses below its floor.
     """
     g = prob.grid
     u = _with_boundary_data(grid_mod.sample_expression(prob.subsolution, g).values, prob)
-    psi0 = homotopy_rhs_field(prob)
 
-    # degenerate input: the subsolution already solves the target problem
-    r1, fields1 = _residual_state(u, prob, 1.0, psi0)
+    # the operator fields do not depend on t, and at t = 1 the t = 0
+    # forcing carries no weight
+    r1, fields1 = _residual_state(u, prob, 1.0, 0.0)
     rinf1 = float(np.abs(r1).max())
     if rinf1 <= prob.newton.tol_residual:
+        # degenerate input: the subsolution already solves the target problem
         stages.append(StageRecord(1.0, 0, rinf1, fields1.margin, g.res))
         log.info("subsolution already solves the target problem (residual %.3e)", rinf1)
         return u
-
-    # the operator fields do not depend on t
-    r0 = fields1.values - psi0
-    stages.append(StageRecord(0.0, 0, float(np.abs(r0).max()), fields1.margin, g.res))
+    psi0 = fields1.values
+    stages.append(StageRecord(0.0, 0, 0.0, fields1.margin, g.res))
 
     t = 0.0
     u_prev = t_prev = None
@@ -496,19 +487,20 @@ def _continuation(prob, stages):
     while t < 1.0:
         t_try = min(1.0, t + dt)
         if u_prev is None:
-            u_start, fallback = u, None
+            u_start, start = u, "unpredicted"
         else:
-            u_start, fallback = _secant(u_prev, t_prev, u, t, t_try), u
+            u_start, start = _secant(u_prev, t_prev, u, t, t_try), "predicted"
+        log.info("stage t=%.6g start=%s", t_try, start)
         try:
-            u_new, record = _newton(u_start, t_try, prob, psi0, fallback=fallback)
-        except (NewtonDivergenceError, LineSearchError, SingularSystemError) as err:
+            u_new, record = _newton(u_start, t_try, prob, psi0)
+        except _FAILURES as err:
             dt *= 0.5
             log.info("stage t=%.6g failed (%s); dt -> %.3e", t_try, type(err).__name__, dt)
             if dt < prob.homotopy.dt_min:
                 raise HomotopyStallError(
                     f"continuation stalled at t={t:g} with dt={dt:.3e} "
                     f"< dt_min={prob.homotopy.dt_min:g}",
-                    iterate=err.iterate if err.iterate is not None else u,
+                    iterate=getattr(err, "iterate", None) or u,
                 ) from err
             continue
         u_prev, t_prev = u, t
@@ -519,24 +511,17 @@ def _continuation(prob, stages):
     return u
 
 
-# A level is solved from a coarse level when res - 1 is even and the
-# coarse grid, (res + 1) / 2 nodes per axis, has at least this many.
-_COARSEST_RES = 13
-
-
 def _coarse_problem(prob):
-    """prob on the grid of every other node, or None where there is none
-    to use (see _COARSEST_RES).  Coarse nodes are fine nodes, so a field
-    forcing restricts by injection."""
+    """prob on prob.grid.coarse, or None where the grid has none.  Coarse
+    nodes are fine nodes, so a field forcing restricts by injection."""
     g = prob.grid
-    res = (g.res + 1) // 2
-    if (g.res - 1) % 2 or res < _COARSEST_RES:
+    if g.coarse is None:
         return None
     psi = prob.psi
     if prob.field_psi:
         fine = psi.values.reshape(g.interior_shape)
         psi = PsiField(fine[(slice(1, None, 2),) * g.n].reshape(-1))
-    return replace(prob, grid=replace(g, res=res), psi=psi)
+    return replace(prob, grid=g.coarse, psi=psi)
 
 
 def _prolong(values):
@@ -558,57 +543,56 @@ def _prolong(values):
 
 
 def _solve_levels(prob, stages, levels):
-    """Solve prob on its grid and append its level to ``levels``.
+    """Solve prob by grid sequencing, appending to ``stages`` the record
+    of every Newton solve and to ``levels`` one record per solved level.
 
-    With a coarse problem: solve that (recursively), prolong its solution,
-    reset the boundary to phi and run Newton at t = 1.  Without one, or
-    when the prolonged start is not admissible, psi faults there, or any
-    solve on this level or below fails, walk the continuation on this
-    grid.  The records of every Newton solve run go to ``stages``.
+    The continuation runs on the coarsest problem of the chain; each finer
+    level starts Newton at t = 1 from the prolonged solution of the level
+    below, its boundary reset to phi.  Any failure on the way up, a start
+    that is not admissible or where psi faults included, is followed by
+    one continuation from the subsolution on the target grid.  With a
+    single level the failure propagates.
     """
-    coarse = _coarse_problem(prob)
-    fallback = None
-    if coarse is not None:
-        try:
-            uc = _solve_levels(coarse, stages, levels)
-            u0 = _with_boundary_data(_prolong(uc.values), prob)
-            log.info(
-                "level res=%d starts from the res=%d solution",
-                prob.grid.res, coarse.grid.res,
-            )
+    chain = [prob]
+    while (coarse := _coarse_problem(chain[-1])) is not None:
+        chain.append(coarse)
+    try:
+        u = _continuation(chain[-1], stages)
+        levels.append(LevelRecord(chain[-1].grid.res))
+        for fine in reversed(chain[:-1]):
+            log.info("level res=%d starts from the res=%d solution", fine.grid.res, u.grid.res)
+            u0 = _with_boundary_data(_prolong(u.values), fine)
             # at t = 1 the t = 0 forcing carries no weight
-            u, record = _newton(u0, 1.0, prob, 0.0)
-        except (SolverError, NotAdmissibleError, expr_mod.DomainFaultError) as err:
-            fallback = type(err).__name__
-            log.info(
-                "level res=%d falls back to the continuation (%s)",
-                prob.grid.res, fallback,
-            )
-        else:
+            u, record = _newton(u0, 1.0, fine, 0.0)
             stages.append(record)
-            levels.append(LevelRecord(prob.grid.res))
-            return u
-    u = _continuation(prob, stages)
-    levels.append(LevelRecord(prob.grid.res, fallback))
+            levels.append(LevelRecord(fine.grid.res))
+    except _FAILURES as err:
+        if len(chain) == 1:
+            raise
+        fallback = type(err).__name__
+        log.info("level res=%d falls back to the continuation (%s)", prob.grid.res, fallback)
+        # recorded before the walk, so a failed walk's report shows it
+        levels.append(LevelRecord(prob.grid.res, fallback))
+        u = _continuation(prob, stages)
     return u
 
 
 def solve_dirichlet(prob):
     """Solve the target problem by grid sequencing over the continuation.
 
-    The continuation (see _continuation) runs on the coarsest level: the
-    grid reached by halving the node count per axis while res - 1 is even
-    and (res + 1) / 2 >= 13.  Each finer level runs Newton at t = 1 from
-    the cubic prolongation of the level below, and falls back to the
-    continuation on its own grid when that start is not admissible, psi
-    faults there, or any solve on it or below fails.  Problems validate
-    and solutions are diagnosed on the target grid only.
+    The continuation (see _continuation) runs on the coarsest level, the
+    last grid of the chain prob.grid, prob.grid.coarse, ...  Each finer
+    level runs Newton at t = 1 from the cubic prolongation of the level
+    below.  When any of that fails, the continuation runs once more on the
+    target grid, from the subsolution.  Problems validate and solutions
+    are diagnosed on the target grid only.
 
     Returns the discrete solution and a report with one record per Newton
     solve (with the res it ran on), one record per solved level (coarsest
-    first, with the failure that made it fall back, if any), the
-    diagnostics of the final iterate, and any load-time warnings.  A
-    failure carries the partial report and an iterate on prob.grid.
+    first; a target level that walked the continuation after a failure
+    names that failure), the diagnostics of the final iterate, and any
+    load-time warnings.  A failure carries the partial report and an
+    iterate on prob.grid.
     """
     start = time.perf_counter()
     warnings_out = validate_problem(prob)

@@ -133,6 +133,7 @@ def test_invalid_problem_exits_64(tmp_path):
         {"tol": 0.0},
         {"tol": -1.0},
         {"max_iters": 0},
+        {"max_iters": None},
     ],
 )
 def test_invalid_newton_params_exit_64(tmp_path, capsys, newton):
@@ -153,15 +154,38 @@ def test_invalid_newton_params_exit_64(tmp_path, capsys, newton):
         {"domain": {"lo": [0, 0, 0], "hi": [1, 1, math.inf], "resolution": 7}},
         {"domain": {"lo": [-math.inf, 0, 0], "hi": [1, 1, 1], "resolution": 7}},
         {"domain": {"lo": [0, math.nan, 0], "hi": [1, 1, 1], "resolution": 7}},
+        {"tau": "abc"},
+        {"domain": {"lo": [0, None, 0], "hi": [1, 1, 1], "resolution": 7}},
+        {"seed": "x"},
     ],
 )
 def test_non_finite_problem_data_exit_64(tmp_path, capsys, extra):
     # an infinite tau or box edge used to pass construction and end in an
-    # uncaught "NaN or Inf" ValueError from deep inside the solve
+    # uncaught "NaN or Inf" ValueError from deep inside the solve; a string
+    # or null where a number belongs ended in an uncaught ValueError or
+    # TypeError from float() or int()
     path = _write(tmp_path, "f.cfg", _base_config(tmp_path, **extra))
     assert _run(path) == 64
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record["error"] == "config"
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_psi_fault_at_the_start_state_exits_64(tmp_path, capsys):
+    # validation probes psi at the exact gradient, where its log argument
+    # is 0.001; the central difference of -0.1*x1^3 lowers p1 by 0.1*h^2
+    # (h = 1/8), so the solve's first evaluation takes log of a negative
+    sub = "(x1^2 + x2^2)/2 - 0.1*x1^3"
+    cfg = _base_config(
+        tmp_path, n=2, k=2, l=0,
+        domain={"lo": [0, 0], "hi": [1, 1], "resolution": 9},
+        psi="log(p1 - x1 + 0.3*x1^2 + 0.001)", phi=sub, subsolution=sub,
+    )
+    path = _write(tmp_path, "d.cfg", cfg)
+    assert _run(path) == 64
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "problem"
+    assert "log" in record["message"]
     assert not (tmp_path / "out.json").exists()
 
 

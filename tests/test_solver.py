@@ -211,7 +211,7 @@ def test_gradient_dependent_path_2d(caplog):
     assert starts == ["unpredicted"] + ["predicted"] * (len(ts) - 2)
 
 
-@pytest.mark.parametrize(
+_FAULTS = pytest.mark.parametrize(
     "fault",
     [
         lambda: NotAdmissibleError(np.zeros(2), 1),
@@ -219,35 +219,64 @@ def test_gradient_dependent_path_2d(caplog):
             "sqrt of negative value", expr_mod.parse("u", 2), -1.0
         ),
     ],
+    ids=["not_admissible", "domain_fault"],
 )
-def test_inadmissible_prediction_falls_back_to_last_solution(fault, monkeypatch, caplog):
-    prob = _continuation2d(33)
-    predicted = []
+
+
+def _faulting_predictions(monkeypatch, fault, count=None):
+    # the first ``count`` secant predictions (all when None) raise ``fault``
+    # when evaluated; returns the (u_prev, t_prev, u, t, t_next) of every
+    # prediction made
+    made, faulty = [], []
     real_secant, real_state = solver_mod._secant, solver_mod._residual_state
 
     def secant(*args):
-        predicted.append(real_secant(*args))
-        return predicted[-1]
+        made.append(args)
+        out = real_secant(*args)
+        if count is None or len(made) <= count:
+            faulty.append(out)
+        return out
 
     def residual_state(u, *args):
-        if any(u is p for p in predicted):
+        if any(u is p for p in faulty):
             raise fault()
         return real_state(u, *args)
 
     monkeypatch.setattr(solver_mod, "_secant", secant)
     monkeypatch.setattr(solver_mod, "_residual_state", residual_state)
+    return made
+
+
+@_FAULTS
+def test_failed_prediction_halves_the_step(fault, monkeypatch, caplog):
+    # a prediction that is not admissible, or makes psi fault, fails its
+    # attempt like a failed Newton solve: dt halves and the next attempt
+    # starts on a shorter prediction
+    prob = _continuation2d(33)
+    ref, _ = _solve_single_grid(prob)
+    made = _faulting_predictions(monkeypatch, fault, count=2)
     caplog.set_level(logging.INFO, logger="hessquot.solver")
-    _, report = _solve_single_grid(prob)
+    u, report = _solve_single_grid(prob)
     assert report.converged
-    assert report.stages[-1].final_residual_inf <= prob.newton.tol_residual
-    # every attempt started from the last solution, so the path is the
-    # one taken without a predictor
-    assert predicted
-    assert _start_records(caplog) == ["unpredicted"] + ["fallback"] * len(predicted)
+    failed = [r.getMessage() for r in caplog.records if "failed" in r.getMessage()]
+    assert [m.split()[1] for m in failed] == ["t=0.3", "t=0.2"]
     assert [s.t for s in report.stages] == pytest.approx(
-        [0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0], rel=0, abs=1e-12
+        [0.0, 0.1, 0.15, 0.25, 0.45, 0.7, 0.95, 1.0], rel=0, abs=1e-12
     )
-    assert [s.newton_iters for s in report.stages] == [0, 3, 4, 4, 4, 4, 4]
+    assert _start_records(caplog) == ["unpredicted"] + ["predicted"] * len(made)
+    assert np.abs(u.values - ref.values).max() <= 1e-10
+
+
+@_FAULTS
+def test_failing_predictions_stall_on_the_last_solution(fault, monkeypatch):
+    prob = _continuation2d(33)
+    made = _faulting_predictions(monkeypatch, fault)
+    with pytest.raises(HomotopyStallError) as err:
+        _solve_single_grid(prob)
+    # every prediction extrapolated from the one accepted stage, t = 0.1
+    assert {args[3] for args in made} == {0.1}
+    assert err.value.iterate is made[-1][2]
+    assert isinstance(err.value.__cause__, type(fault()))
 
 
 def test_newton_solves_with_the_stage_residual(monkeypatch):
@@ -655,7 +684,8 @@ def test_coarse_stall_falls_back_and_converges(monkeypatch):
     monkeypatch.setattr(solver_mod, "_newton", _newton_failing_on(13))
     u, report = solve_dirichlet(prob)
     assert report.converged
-    assert _levels(report) == [(25, "HomotopyStallError"), (49, None)]
+    # the coarse stall sends the solve straight to the target grid
+    assert _levels(report) == [(49, "HomotopyStallError")]
     r = assemble_residual(u, prob, 1.0, np.zeros(prob.grid.num_interior))
     assert np.abs(r).max() <= prob.newton.tol_residual
     ref, _ = _solve_single_grid(prob)
@@ -690,5 +720,36 @@ def test_sequenced_failure_carries_target_iterate(monkeypatch):
     assert err.value.iterate.grid == prob.grid
     report = err.value.report
     assert report is not None and not report.converged
-    assert _levels(report) == [(13, None)]
+    assert _levels(report) == [(13, None), (25, "NewtonDivergenceError")]
     assert report.stages[-1].res == 25
+
+
+def test_stall_on_every_grid_walks_two_grids():
+    # the continuation stalls on every grid: it is walked on the coarsest
+    # grid and once on the target grid, not on every level in between
+    prob = _continuation2d(97)
+    prob.newton = NewtonParams(max_iters=2)
+    prob.homotopy = HomotopyParams(0.1, 0.05)
+    with pytest.raises(HomotopyStallError) as err:
+        solve_dirichlet(prob)
+    report = err.value.report
+    assert {s.res for s in report.stages} == {13, 97}
+    assert _levels(report) == [(97, "HomotopyStallError")]
+    assert err.value.iterate.grid == prob.grid
+
+
+def test_coarse_grids_are_built_once(monkeypatch):
+    prob = _continuation2d(49)
+    assert solver_mod._coarse_problem(prob).grid is prob.grid.coarse
+    solve_dirichlet(prob)
+    built = []
+    real = grid_mod._StencilPattern
+
+    def pattern(n, m):
+        built.append(m)
+        return real(n, m)
+
+    monkeypatch.setattr(grid_mod, "_StencilPattern", pattern)
+    _, report = solve_dirichlet(prob)
+    assert _levels(report) == [(13, None), (25, None), (49, None)]
+    assert built == []
