@@ -15,6 +15,7 @@ import os
 import platform
 import sys
 import tempfile
+from dataclasses import asdict
 
 import numpy as np
 import scipy
@@ -62,6 +63,13 @@ def load_config(path):
         raise ConfigError("config must be a JSON object")
     if _require(cfg, "version", int) != 1:
         raise ConfigError(f"unsupported config version {cfg['version']}")
+    # sections must have their shape before overrides write into them
+    for key in ("domain", "newton", "homotopy", "out"):
+        if key in cfg:
+            _require(cfg, key, dict)
+    for key in ("grid", "report"):
+        if cfg.get("out", {}).get(key) is not None:
+            _require(cfg["out"], key, str, "out")
     return cfg
 
 
@@ -208,8 +216,6 @@ def run(config_path, args):
         except (TypeError, ValueError) as err:
             raise ConfigError(f"seed: {err}") from err
         out = cfg.get("out", {})
-        if not isinstance(out, dict):
-            raise ConfigError("'out' must be an object with grid/report paths")
 
         if mode == "selftest":
             from .verify import selftest
@@ -222,7 +228,7 @@ def run(config_path, args):
                 "version": 1,
                 "mode": mode,
                 "seed": seed,
-                "checks": [c.as_dict() for c in checks],
+                "checks": [asdict(c) for c in checks],
                 "all_passed": all_passed,
                 "versions": _versions(),
             }

@@ -6,19 +6,21 @@ and one-sided differences never appear.  Interior nodes are the ones with
 all indices in [1, res-2]; they are enumerated row-major (C order), and
 that ordering is the row ordering of the assembled sparse systems.
 
-Second derivatives use the 3-point second difference on the diagonal and
-the 4-point cross for mixed terms, both exact on quadratics; gradients
-use central differences.  Assembly is vectorized over interior nodes:
-node-level work shares no state.  Each grid builds its Jacobian sparsity
-pattern once (row pointers, column indices and the data slot of every
-stencil offset at every node); assembly accumulates per-offset weight
-arrays and fills the matrix data with one gather through that pattern.
+The discretization is stated once, in ``Grid.stencils``: the 3-point
+second difference on the Hessian diagonal and the 4-point cross off it
+(both exact on quadratics), and central differences for the gradient.
+Stencil Hessians, gradients, the Jacobian and its sparsity pattern all
+read that table; only the pointwise ``fd_*`` reference keeps its own
+copy.  Each grid builds its Jacobian pattern once (row pointers, column
+indices and the data slot of every stencil offset at every node);
+assembly accumulates per-offset weight arrays and fills the matrix data
+with one gather through that pattern.
 """
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -27,6 +29,14 @@ from . import expr as expr_mod
 from . import symfun
 from .errors import NotAdmissibleError
 from .spectral import eta_transform, sym_eig
+
+
+class Stencils(NamedTuple):
+    """Stencils (divisor, [(offset, coefficient), ...]); applied to u at a
+    node: sum(coefficient * u[node + offset]), in order, / divisor."""
+
+    hessian: dict  # (a, b), a <= b, diagonal first -> stencil of H_ab
+    gradient: list  # a -> stencil of du/dx_a
 
 
 @dataclass(frozen=True)
@@ -115,9 +125,39 @@ class Grid:
         return replace(self, res=res)
 
     @cached_property
+    def stencils(self):
+        """The difference stencils of this grid (see the module docstring)."""
+        n, h = self.n, self.h
+
+        def offset(*steps):  # steps: (axis, +1 or -1) pairs
+            o = [0] * n
+            for a, s in steps:
+                o[a] = s
+            return tuple(o)
+
+        hessian = {
+            (a, a): (h[a] ** 2, [(offset((a, 1)), 1.0), (offset(), -2.0),
+                                 (offset((a, -1)), 1.0)])
+            for a in range(n)
+        }
+        for a in range(n):
+            for b in range(a + 1, n):
+                hessian[a, b] = (4.0 * h[a] * h[b], [
+                    (offset((a, sa), (b, sb)), float(sa * sb))
+                    for sa in (1, -1) for sb in (1, -1)
+                ])
+        gradient = [
+            (2.0 * h[a], [(offset((a, 1)), 1.0), (offset((a, -1)), -1.0)])
+            for a in range(n)
+        ]
+        return Stencils(hessian, gradient)
+
+    @cached_property
     def jacobian_pattern(self):
         """CSR structure shared by every Jacobian assembled on this grid."""
-        return _StencilPattern(self.n, self.res - 2)
+        used = [*self.stencils.hessian.values(), *self.stencils.gradient]
+        offsets = sorted({o for _, terms in used for o, _ in terms})
+        return _StencilPattern(offsets, self.res - 2)
 
     @cached_property
     def sine_basis(self):
@@ -179,19 +219,16 @@ class _StencilPattern:
     """Fixed CSR pattern of the interior Jacobian on an n-D grid with m
     interior nodes per axis.
 
-    The stencil offsets are every o in {-1, 0, 1}^n with at most two
-    nonzero entries (9 in 2-D, 19 in 3-D), in lexicographic order, which
-    is also increasing column order within a row.  Assembly accumulates
-    one weight array per offset into a (len(offsets), N_int) block W;
-    ``W.reshape(-1)[gather]`` is then the CSR data.  Weights whose
-    neighbor is a boundary node have no slot and are not gathered.
+    ``offsets`` are the ones ``Grid.stencils`` uses (9 in 2-D, 19 in 3-D),
+    sorted, which is also increasing column order within a row.  Assembly
+    accumulates one weight array per offset into a (len(offsets), N_int)
+    block W; ``W.reshape(-1)[gather]`` is then the CSR data.  Weights
+    whose neighbor is a boundary node have no slot and are not gathered.
     """
 
-    def __init__(self, n, m):
-        self.offsets = [
-            o for o in itertools.product((-1, 0, 1), repeat=n)
-            if sum(map(abs, o)) <= 2
-        ]
+    def __init__(self, offsets, m):
+        self.offsets = offsets
+        n = len(offsets[0])
         self.slot = {o: k for k, o in enumerate(self.offsets)}
         nint = m**n
         node = np.indices((m,) * n).reshape(n, -1)
@@ -315,51 +352,35 @@ def fd_hessian(u, node):
     return H
 
 
-def _shifted(values, n, offset):
+def _shifted(values, offset):
     # View of the interior block displaced by ``offset`` (entries in {-1,0,1}).
     res = values.shape[0]
     idx = tuple(slice(1 + o, res - 1 + o) for o in offset)
     return values[idx]
 
 
+def _apply(values, stencil):
+    """One ``Grid.stencils`` entry at every interior node, interior_shape."""
+    divisor, terms = stencil
+    (o, c), *rest = terms
+    acc = c * _shifted(values, o)
+    for o, c in rest:
+        acc += c * _shifted(values, o)
+    return acc / divisor
+
+
 def interior_gradients(values, grid):
     """Central-difference gradients at all interior nodes, shape (N_int, n)."""
-    n = grid.n
-    h = grid.h
-    cols = []
-    for a in range(n):
-        o = [0] * n
-        o[a] = 1
-        up = _shifted(values, n, o)
-        o[a] = -1
-        dn = _shifted(values, n, o)
-        cols.append((up - dn) / (2.0 * h[a]))
-    return np.stack([c.reshape(-1) for c in cols], axis=-1)
+    cols = [_apply(values, s).reshape(-1) for s in grid.stencils.gradient]
+    return np.stack(cols, axis=-1)
 
 
 def interior_hessians(values, grid):
     """Stencil Hessians at all interior nodes, shape (N_int, n, n)."""
     n = grid.n
-    h = grid.h
-    core = _shifted(values, n, [0] * n)
-    H = np.empty(core.shape + (n, n))
-    for a in range(n):
-        o = [0] * n
-        o[a] = 1
-        up = _shifted(values, n, o)
-        o[a] = -1
-        dn = _shifted(values, n, o)
-        H[..., a, a] = (up - 2.0 * core + dn) / h[a] ** 2
-    for a in range(n):
-        for b in range(a + 1, n):
-            acc = np.zeros_like(core)
-            for sa in (1, -1):
-                for sb in (1, -1):
-                    o = [0] * n
-                    o[a] = sa
-                    o[b] = sb
-                    acc = acc + sa * sb * _shifted(values, n, o)
-            H[..., a, b] = H[..., b, a] = acc / (4.0 * h[a] * h[b])
+    H = np.empty(grid.interior_shape + (n, n))
+    for (a, b), stencil in grid.stencils.hessian.items():
+        H[..., a, b] = H[..., b, a] = _apply(values, stencil)
     return H.reshape(-1, n, n)
 
 
@@ -468,18 +489,18 @@ def assemble_residual(u, prob, t, psi0):
 def assemble_jacobian(u, prob, t, psi0=None, state=None):
     """Sparse Jacobian of the stage residual with respect to interior values.
 
-    Row p holds  sum_ij Q_ij(p) * (Hessian stencil weight of u_q in H_ij(p))
-    minus t * psi_z(p) on the diagonal and t * psi_p(p) times the gradient
-    stencil weights.  Stencil neighbors on the boundary carry no unknowns;
-    their pinned values already live in the residual, which is returned
-    negated as the right-hand side.  Given ``state``, the (residual,
-    fields) of u's ``_residual_state`` at t, it evaluates nothing at u;
-    otherwise it evaluates that state with the t = 0 forcing psi0.
+    Each ``Grid.stencils`` entry (offset, coef) of a stencil with divisor
+    d puts q * coef / d in row p, column p + offset: q is Q_aa(p) for H_aa,
+    2 Q_ab(p) for H_ab, a < b (Q = d operator / dH), and -t * psi_p(p)_a
+    for the gradient along a; -t * psi_z(p) goes on the diagonal.  Stencil
+    neighbors on the boundary carry no unknowns; their pinned values
+    already live in the residual, which is returned negated as the
+    right-hand side.  Given ``state``, the (residual, fields) of u's
+    ``_residual_state`` at t, it evaluates nothing at u; otherwise it
+    evaluates that state with the t = 0 forcing psi0.
     """
     grid = prob.grid
     spec = prob.quotient
-    n = grid.n
-    h = grid.h
     nint = grid.num_interior
     if state is None:
         if psi0 is None:
@@ -492,40 +513,19 @@ def assemble_jacobian(u, prob, t, psi0=None, state=None):
     pattern = grid.jacobian_pattern
     W = np.zeros((len(pattern.offsets), nint))
 
-    def add(offset, weights):
-        W[pattern.slot[tuple(offset)]] += weights
+    def add(q, stencil):
+        divisor, terms = stencil
+        for offset, coef in terms:
+            W[pattern.slot[offset]] += q * coef / divisor
 
-    # second-difference diagonal blocks
-    center = np.zeros(nint)
-    for a in range(n):
-        qaa = Q[:, a, a]
-        w = qaa / h[a] ** 2
-        center -= 2.0 * w
-        for s in (1, -1):
-            o = [0] * n
-            o[a] = s
-            add(o, w)
-    # 4-point crosses; H_ab appears twice in the trace pairing
-    for a in range(n):
-        for b in range(a + 1, n):
-            qab = 2.0 * Q[:, a, b]
-            for sa in (1, -1):
-                for sb in (1, -1):
-                    o = [0] * n
-                    o[a] = sa
-                    o[b] = sb
-                    add(o, qab * sa * sb / (4.0 * h[a] * h[b]))
-    # first-order terms from psi(x, u, grad u)
+    for (a, b), stencil in grid.stencils.hessian.items():
+        add(Q[:, a, b] if a == b else 2.0 * Q[:, a, b], stencil)
     if t != 0.0:
-        center -= t * np.broadcast_to(fields.psi_z, (nint,))
+        W[pattern.slot[(0,) * grid.n]] -= t * fields.psi_z
         if np.any(np.asarray(fields.psi_p) != 0.0):
-            psi_p = np.broadcast_to(fields.psi_p, (nint, n))
-            for a in range(n):
-                for s in (1, -1):
-                    o = [0] * n
-                    o[a] = s
-                    add(o, -t * psi_p[:, a] * s / (2.0 * h[a]))
-    add([0] * n, center)
+            psi_p = np.broadcast_to(fields.psi_p, (nint, grid.n))
+            for a, stencil in enumerate(grid.stencils.gradient):
+                add(-t * psi_p[:, a], stencil)
 
     matrix = sparse.csr_matrix(
         (W.reshape(-1)[pattern.gather], pattern.indices, pattern.indptr),

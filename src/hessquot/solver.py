@@ -36,7 +36,7 @@ import logging
 import math
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 from scipy.sparse import linalg as sparse_linalg
@@ -185,15 +185,6 @@ class StageRecord:
     min_admissibility_margin: float
     res: int
 
-    def as_dict(self):
-        return {
-            "t": self.t,
-            "newton_iters": self.newton_iters,
-            "final_residual_inf": self.final_residual_inf,
-            "min_admissibility_margin": self.min_admissibility_margin,
-            "res": self.res,
-        }
-
 
 @dataclass
 class LevelRecord:
@@ -202,9 +193,6 @@ class LevelRecord:
 
     res: int
     fallback: str | None = None
-
-    def as_dict(self):
-        return {"res": self.res, "fallback": self.fallback}
 
 
 @dataclass
@@ -218,15 +206,8 @@ class SolveReport:
     levels: list = field(default_factory=list)
 
     def as_dict(self):
-        return {
-            "stages": [s.as_dict() for s in self.stages],
-            "levels": [v.as_dict() for v in self.levels],
-            "converged": self.converged,
-            "diagnostics": self.diagnostics.as_dict() if self.diagnostics else None,
-            "wall_time": self.wall_time,
-            "warnings": list(self.warnings),
-            "degenerate_2d": self.degenerate_2d,
-        }
+        """The report as plain data (records become dicts) for JSON."""
+        return asdict(self)
 
 
 def validate_problem(prob):

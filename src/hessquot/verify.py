@@ -88,16 +88,6 @@ class ConvergenceStudy:
     exact: bool
     suspect: bool
 
-    def as_dict(self):
-        return {
-            "resolutions": list(self.resolutions),
-            "errors": list(self.errors),
-            "orders": list(self.orders),
-            "order": self.order,
-            "exact": self.exact,
-            "suspect": self.suspect,
-        }
-
 
 def convergence_order(ustar, box_lo, box_hi, base_res, spec, levels=3, subsolution=None):
     """Solve the same manufactured problem on grids with h, h/2, h/4 and
@@ -162,26 +152,6 @@ class DiagnosticsReport:
         if self.comparison_ok is not None:
             checks.append(self.comparison_ok)
         return all(checks)
-
-    def as_dict(self):
-        return {
-            "max_principle_ok": self.max_principle_ok,
-            "max_principle_node": list(self.max_principle_node),
-            "max_principle_excess": self.max_principle_excess,
-            "comparison_ok": self.comparison_ok,
-            "comparison_node": None
-            if self.comparison_node is None
-            else list(self.comparison_node),
-            "comparison_deficit": self.comparison_deficit,
-            "admissibility_min_margin": self.admissibility_min_margin,
-            "admissibility_node": list(self.admissibility_node),
-            "laplacian_min": self.laplacian_min,
-            "laplacian_node": list(self.laplacian_node),
-            "psi_positive": self.psi_positive,
-            "psi_min": self.psi_min,
-            "psi_node": list(self.psi_node),
-            "psi_z_positive": self.psi_z_positive,
-        }
 
 
 def run_diagnostics(u, prob):
@@ -265,9 +235,6 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
-
-    def as_dict(self):
-        return {"name": self.name, "passed": self.passed, "detail": self.detail}
 
 
 def selftest(seed=0):

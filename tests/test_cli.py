@@ -147,6 +147,29 @@ def test_invalid_newton_params_exit_64(tmp_path, capsys, newton):
 
 
 @pytest.mark.parametrize(
+    "extra, flags",
+    [
+        ({"newton": 5}, ()),
+        ({"homotopy": [1]}, ()),
+        ({"domain": [1, 2]}, ("--resolution", "9")),
+        ({"homotopy": 5}, ("--t-step", "0.2")),
+        ({"newton": "x"}, ("--tol", "1e-8")),
+        ({"out": {"report": 5}}, ()),
+        ({"out": {"grid": ["g.csv"]}}, ()),
+    ],
+)
+def test_config_sections_of_wrong_type_exit_64(tmp_path, capsys, extra, flags):
+    # each ended in an uncaught AttributeError or TypeError: from .get on
+    # the section, from an override writing into it, or from the output
+    # writer after the solve had run
+    path = _write(tmp_path, "s.cfg", _base_config(tmp_path, **extra))
+    assert _run(path, *flags) == 64
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "config"
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize(
     "extra",
     [
         {"tau": math.inf},

@@ -103,15 +103,23 @@ def test_stencil_ops_reject_boundary_nodes():
         fd_hessian(u, (3, 8, 3))
 
 
+# a different spacing on every axis, so a stencil that mixes up h_a and
+# h_b gives a different answer
+UNEQUAL_BOX = ((0, -1, 0), (1, 1, 0.5))
+
+
 def test_pointwise_and_vectorized_stencils_agree(rng):
-    g = _grid2(7)
-    u = GridFunction(g, rng.normal(size=g.shape))
-    H = interior_hessians(u.values, g)
-    P = interior_gradients(u.values, g)
-    for node in [(1, 1), (3, 4), (5, 5)]:
-        row = np.ravel_multi_index((node[0] - 1, node[1] - 1), g.interior_shape)
-        assert np.array_equal(fd_hessian(u, node), H[row])
-        assert np.array_equal(fd_gradient(u, node), P[row])
+    for g, nodes in [
+        (_grid2(7), [(1, 1), (3, 4), (5, 5)]),
+        (Grid(3, *UNEQUAL_BOX, 7), [(1, 1, 1), (3, 4, 2), (5, 1, 5)]),
+    ]:
+        u = GridFunction(g, rng.normal(size=g.shape))
+        H = interior_hessians(u.values, g)
+        P = interior_gradients(u.values, g)
+        for node in nodes:
+            row = np.ravel_multi_index(tuple(i - 1 for i in node), g.interior_shape)
+            assert np.array_equal(fd_hessian(u, node), H[row])
+            assert np.array_equal(fd_gradient(u, node), P[row])
 
 
 def _quadratic_problem(res=9):
@@ -132,8 +140,8 @@ def _gradient_problem_2d(res=9):
     return ProblemSpec(grid=g, quotient=spec, psi=psi, phi=quad, subsolution=quad)
 
 
-def _first_order_problem_3d(res=9):
-    g = _grid3(res)
+def _first_order_problem_3d(res=9, box=((0, 0, 0), (1, 1, 1))):
+    g = Grid(3, *box, res)
     spec = QuotientSpec(3, 3, 1, tau=1.0)
     quad = expr_mod.parse("(x1^2 + x2^2 + x3^2)/2", 3)
     psi = expr_mod.parse("sqrt(4/3) + 0.25*u + 0.125*p1 - 0.05*p3", 3)
@@ -314,8 +322,11 @@ def _reference_jacobian(u, prob, t):
 
 
 def test_fixed_pattern_assembly_matches_reference(rng):
-    for maker in (_gradient_problem_2d, _first_order_problem_3d):
-        prob = maker(7)
+    for prob in (
+        _gradient_problem_2d(7),
+        _first_order_problem_3d(7),
+        _first_order_problem_3d(7, UNEQUAL_BOX),
+    ):
         u = _perturbed_subsolution(prob, rng)
         psi0 = homotopy_rhs_field(prob)
         for t in (0.0, 1.0):
