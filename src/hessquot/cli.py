@@ -67,9 +67,6 @@ def load_config(path):
     for key in ("domain", "newton", "homotopy", "out"):
         if key in cfg:
             _require(cfg, key, dict)
-    for key in ("grid", "report"):
-        if cfg.get("out", {}).get(key) is not None:
-            _require(cfg["out"], key, str, "out")
     return cfg
 
 
@@ -154,7 +151,6 @@ def _build_problem(cfg, mode):
 
 def _atomic_write(path, text):
     directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".hessquot-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
@@ -216,6 +212,13 @@ def run(config_path, args):
         except (TypeError, ValueError) as err:
             raise ConfigError(f"seed: {err}") from err
         out = cfg.get("out", {})
+        for key in ("grid", "report"):  # output directories exist before any solve
+            if out.get(key) is not None:
+                path = _require(out, key, str, "out")
+                try:
+                    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+                except OSError as err:
+                    raise ConfigError(f"out.{key} {path!r}: {err}") from err
 
         if mode == "selftest":
             from .verify import selftest

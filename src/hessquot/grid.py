@@ -2,9 +2,9 @@
 
 The grid is a tensor product of ``res`` equally spaced nodes per axis,
 boundary layers included, so every interior stencil reads only grid nodes
-and one-sided differences never appear.  Interior nodes are the ones with
-all indices in [1, res-2]; they are enumerated row-major (C order), and
-that ordering is the row ordering of the assembled sparse systems.
+and one-sided differences never appear.  ``Grid.rows`` labels each
+interior node (all indices in [1, res-2]) with its row in the assembled
+sparse systems, row-major (C order), and each boundary node with -1.
 
 The discretization is stated once, in ``Grid.stencils``: the 3-point
 second difference on the Hessian diagonal and the 4-point cross off it
@@ -92,18 +92,17 @@ class Grid:
         core = (slice(1, -1),) * self.n
         return self.coords()[core].reshape(-1, self.n)
 
-    def boundary_mask(self):
-        mask = np.zeros(self.shape, dtype=bool)
-        for axis in range(self.n):
-            idx = [slice(None)] * self.n
-            idx[axis] = 0
-            mask[tuple(idx)] = True
-            idx[axis] = self.res - 1
-            mask[tuple(idx)] = True
-        return mask
+    @cached_property
+    def rows(self):
+        """Each interior node's row in the assembled systems (row-major), -1
+        on the boundary; shape grid.shape, read-only."""
+        rows = np.full(self.shape, -1, np.int32 if self.num_interior < 2**31 else np.int64)
+        rows[(slice(1, -1),) * self.n].flat = np.arange(self.num_interior)
+        rows.flags.writeable = False
+        return rows
 
-    def is_interior(self, node):
-        return all(1 <= i <= self.res - 2 for i in node)
+    def boundary_mask(self):
+        return self.rows < 0
 
     def interior_node(self, row):
         """Grid multi-index of the interior node in row-major row ``row``."""
@@ -157,7 +156,7 @@ class Grid:
         """CSR structure shared by every Jacobian assembled on this grid."""
         used = [*self.stencils.hessian.values(), *self.stencils.gradient]
         offsets = sorted({o for _, terms in used for o, _ in terms})
-        return _StencilPattern(offsets, self.res - 2)
+        return _StencilPattern(offsets, self.rows)
 
     @cached_property
     def sine_basis(self):
@@ -216,37 +215,27 @@ def _sine_transform(v, S, n):
 
 
 class _StencilPattern:
-    """Fixed CSR pattern of the interior Jacobian on an n-D grid with m
-    interior nodes per axis.
+    """Fixed CSR pattern of the interior Jacobian, read off ``Grid.rows``.
 
     ``offsets`` are the ones ``Grid.stencils`` uses (9 in 2-D, 19 in 3-D),
-    sorted, which is also increasing column order within a row.  Assembly
-    accumulates one weight array per offset into a (len(offsets), N_int)
-    block W; ``W.reshape(-1)[gather]`` is then the CSR data.  Weights
-    whose neighbor is a boundary node have no slot and are not gathered.
+    sorted, so columns increase within a row.  Column k of ``cols``
+    (N_int, K) holds the neighbour rows ``_shifted(rows, offsets[k])``; its
+    entries >= 0, in row-major order, are the CSR entries.  Assembly
+    accumulates one weight array per offset into a (K, N_int) block W;
+    ``W.reshape(-1)[gather]`` is then the CSR data.  Weights whose
+    neighbor is a boundary node have no slot and are not gathered.
     """
 
-    def __init__(self, offsets, m):
+    def __init__(self, offsets, rows):
         self.offsets = offsets
-        n = len(offsets[0])
         self.slot = {o: k for k, o in enumerate(self.offsets)}
-        nint = m**n
-        node = np.indices((m,) * n).reshape(n, -1)
-        strides = m ** np.arange(n - 1, -1, -1)
-        off = np.array(self.offsets).T[:, :, None]  # (n, K, 1)
-        valid = np.all((node[:, None, :] + off >= 0) & (node[:, None, :] + off < m), axis=0)
-        row_ptr = np.concatenate(([0], np.cumsum(valid.sum(axis=0))))
-        nnz = int(row_ptr[-1])
-        dtype = np.int32 if nnz <= np.iinfo(np.int32).max else np.int64
-        k_idx, row = np.nonzero(valid)
-        # rank of each valid offset within its row, in offset order
-        rank = (np.cumsum(valid, axis=0) - 1)[k_idx, row]
-        pos = row_ptr[row] + rank
-        self.indptr = row_ptr.astype(dtype)
-        self.indices = np.empty(nnz, dtype=dtype)
-        self.indices[pos] = row + (strides @ off[:, :, 0])[k_idx]
-        self.gather = np.empty(nnz, dtype=np.intp)
-        self.gather[pos] = k_idx * nint + row
+        cols = np.stack([_shifted(rows, o).reshape(-1) for o in offsets], axis=-1)
+        valid = cols >= 0
+        row, k_idx = np.nonzero(valid)
+        dtype = np.int32 if row.size < 2**31 else np.int64
+        self.indptr = np.concatenate(([0], np.cumsum(valid.sum(axis=1)))).astype(dtype)
+        self.indices = cols[valid].astype(dtype, copy=False)
+        self.gather = k_idx * len(cols) + row
         for arr in (self.indptr, self.indices, self.gather):
             arr.flags.writeable = False
 
@@ -290,17 +279,17 @@ class SparseSystem:
     grid: Grid | None = None
 
 
-def sample_expression(e, grid, u=None, p=None):
-    """Evaluate an expression of x (and optionally u, p) at every node."""
+def sample_expression(e, grid):
+    """Evaluate an expression of x at every node."""
     coords = grid.coords().reshape(-1, grid.n)
-    env = expr_mod.EvalEnv(x=coords, u=u, p=p)
+    env = expr_mod.EvalEnv(x=coords)
     values = np.broadcast_to(expr_mod.evaluate(e, env), (coords.shape[0],))
     return GridFunction(grid, values.reshape(grid.shape).copy())
 
 
 def _require_interior(grid, node):
     node = tuple(int(i) for i in node)
-    if len(node) != grid.n or not grid.is_interior(node):
+    if len(node) != grid.n or not all(1 <= i <= grid.res - 2 for i in node):
         raise ValueError(f"node {node} is not an interior node")
     return node
 

@@ -53,6 +53,7 @@ from .errors import (
     SolverError,
 )
 from .grid import Grid, GridFunction, _residual_state
+from .spectral import eta_transform
 from .symfun import QuotientSpec
 
 log = logging.getLogger("hessquot.solver")
@@ -210,19 +211,25 @@ class SolveReport:
         return asdict(self)
 
 
+def _sample_data(prob, name):
+    try:
+        return grid_mod.sample_expression(getattr(prob, name), prob.grid)
+    except ValueError as err:  # NaN or Inf, or a domain fault
+        raise ProblemSpecError(f"{name} cannot be sampled on the grid: {err}") from err
+
+
 def validate_problem(prob):
     """Load-time invariants; returns warning strings for the report.
 
-    Hard failures (boundary mismatch, inadmissible subsolution, violated
-    subsolution inequality) raise ProblemSpecError.  Positivity of psi and
+    Hard failures (non-finite data, boundary mismatch, inadmissible or
+    insufficient subsolution) raise ProblemSpecError.  Positivity of psi and
     of its u-derivative are probed at the subsolution state and demoted to
     warnings, since enforcing them would bar exploratory inputs.
     """
     g = prob.grid
     warnings_out = []
 
-    phi_gf = grid_mod.sample_expression(prob.phi, g)
-    sub_gf = grid_mod.sample_expression(prob.subsolution, g)
+    phi_gf, sub_gf = (_sample_data(prob, name) for name in ("phi", "subsolution"))
     bmask = g.boundary_mask()
     gap = np.abs(phi_gf.values[bmask] - sub_gf.values[bmask]).max()
     if gap > 1e-10:
@@ -234,6 +241,8 @@ def validate_problem(prob):
     # inequality is a statement about the function, and stencil error
     # would swamp the 1e-8 slack on coarse grids
     H = grid_mod.exact_interior_hessians(prob.subsolution, g)
+    if not np.all(np.isfinite(eta_transform(H, prob.quotient.tau))):
+        raise ProblemSpecError("tau*tr(H)*I - H of the subsolution is not finite")
     try:
         fvals = grid_mod.hessian_fields(H, g, prob.quotient).values
     except NotAdmissibleError as err:
@@ -354,8 +363,7 @@ def _krylov_solve(sys):
 
 def _step(u, delta, s):
     out = u.values.copy()
-    core = (slice(1, -1),) * u.grid.n
-    out[core] += s * delta.reshape(u.grid.interior_shape)
+    out[u.grid.rows >= 0] += s * delta
     return GridFunction(u.grid, out)
 
 
@@ -499,9 +507,8 @@ def _coarse_problem(prob):
     if g.coarse is None:
         return None
     psi = prob.psi
-    if prob.field_psi:
-        fine = psi.values.reshape(g.interior_shape)
-        psi = PsiField(fine[(slice(1, None, 2),) * g.n].reshape(-1))
+    if prob.field_psi:  # read at the fine rows of the coarse interior nodes
+        psi = PsiField(psi.values[g.rows[(slice(2, -2, 2),) * g.n].reshape(-1)])
     return replace(prob, grid=g.coarse, psi=psi)
 
 

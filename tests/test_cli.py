@@ -194,6 +194,47 @@ def test_non_finite_problem_data_exit_64(tmp_path, capsys, extra):
     assert not (tmp_path / "out.json").exists()
 
 
+@pytest.mark.parametrize(
+    "extra, named",
+    [
+        ({"phi": "exp(1000*x1)", "subsolution": "exp(1000*x1)"}, "phi"),
+        ({"tau": 1e308}, "tau*tr(H)*I - H"),
+    ],
+    ids=["phi", "tau"],
+)
+def test_overflowing_problem_data_exit_64(tmp_path, capsys, extra, named):
+    # finite inputs whose samples or transformed Hessians overflow ended in
+    # an uncaught "NaN or Inf" ValueError, exit 1, from inside validation
+    path = _write(tmp_path, "f.cfg", _base_config(tmp_path, **extra))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _run(path) == 64
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "problem"
+    assert named in record["message"]
+    assert not (tmp_path / "out.json").exists()
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("key", ["grid", "report"])
+def test_output_path_under_a_file_exits_64_before_solving(
+    tmp_path, capsys, monkeypatch, key
+):
+    # the solve used to run in full before the write failed with an
+    # uncaught FileExistsError, exit 1
+    (tmp_path / "afile").write_text("")
+    cfg = _base_config(tmp_path)
+    cfg["out"][key] = str(tmp_path / "afile" / "sub" / "x")
+    path = _write(tmp_path, "o.cfg", cfg)
+    solved = []
+    monkeypatch.setattr(cli, "solve_dirichlet", lambda prob: solved.append(prob))
+    assert _run(path) == 64
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "config"
+    assert cfg["out"][key] in record["message"]
+    assert solved == []
+    assert sorted(os.listdir(tmp_path)) == ["afile", "o.cfg"]
+
+
 def test_psi_fault_at_the_start_state_exits_64(tmp_path, capsys):
     # validation probes psi at the exact gradient, where its log argument
     # is 0.001; the central difference of -0.1*x1^3 lowers p1 by 0.1*h^2

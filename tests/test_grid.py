@@ -94,6 +94,20 @@ def test_hessian_second_order_convergence():
     assert 3.5 <= ratio <= 4.5
 
 
+def test_rows_label_the_interior_and_the_boundary():
+    for g in (_grid2(7), _grid3(6), Grid(3, *UNEQUAL_BOX, 7)):
+        rows = g.rows
+        assert rows.shape == g.shape
+        for r in range(g.num_interior):
+            assert rows[g.interior_node(r)] == r
+        padded = np.pad(np.zeros(g.interior_shape, dtype=bool), 1, constant_values=True)
+        assert np.all(rows[padded] == -1)
+        assert np.array_equal(g.boundary_mask(), padded)
+        with pytest.raises(ValueError):
+            rows[(1,) * g.n] = 0
+        assert rows[(1,) * g.n] == 0 and rows[(0,) * g.n] == -1
+
+
 def test_stencil_ops_reject_boundary_nodes():
     g = _grid3()
     u = GridFunction(g, np.zeros(g.shape))
@@ -322,11 +336,18 @@ def _reference_jacobian(u, prob, t):
 
 
 def test_fixed_pattern_assembly_matches_reference(rng):
+    # at res 5 every interior node but the centre touches the boundary
     for prob in (
+        _gradient_problem_2d(5),
         _gradient_problem_2d(7),
+        _first_order_problem_3d(5),
         _first_order_problem_3d(7),
         _first_order_problem_3d(7, UNEQUAL_BOX),
     ):
+        pattern = prob.grid.jacobian_pattern
+        assert pattern.indptr.dtype == np.int32
+        assert pattern.indices.dtype == np.int32
+        assert pattern.gather.dtype == np.intp
         u = _perturbed_subsolution(prob, rng)
         psi0 = homotopy_rhs_field(prob)
         for t in (0.0, 1.0):
