@@ -6,6 +6,39 @@ diagnostic warnings, 1 solver failure, 64 malformed configuration or
 expressions.  Outputs are written atomically (temp file + rename) and a
 fixed config and seed reproduce byte-identical outputs except for the
 wall_time report field.
+
+The config is one JSON object, read once per run.  Its keys, and where
+the default of a key left out comes from:
+
+  version     integer, required; must be 1
+  mode        "solve" (default), "manufactured" or "selftest"
+  seed        integer, default 0: seeds the selftest, echoed in reports
+  verbosity   "debug", "info", "warning" or "error"; anything else is info
+  n, k, l     integers, required; tau, a number (QuotientSpec)
+  domain      object, required: lo and hi, lists of n numbers, and the
+              integer resolution (Grid)
+  newton      object: the number tol and the integer max_iters
+              (NewtonParams tol_residual and max_iters)
+  homotopy    object: the numbers dt and dt_min (HomotopyParams dt_init
+              and dt_min)
+  psi, phi, subsolution
+              expression strings, required.  Manufactured mode reads only
+              subsolution: it is the exact solution and the start of the
+              continuation, so the path spans only the O(h^2) gap between
+              the operator on stencil and on exact Hessians, and newton
+              and homotopy act on that gap alone
+  out         object: grid (CSV) and report (JSON) paths, or null for no
+              output.  Before any solve, neither may name an existing
+              directory, and its directory must exist or be creatable.
+
+Selftest mode reads only seed, verbosity and out.  The value rule: an
+integer is a JSON integer, a number is a JSON integer or float, neither
+is a bool or a string, and every entry of domain.lo and domain.hi is a
+number.  A value that breaks the rule, or that its dataclass rejects,
+exits 64 with error "config".  --mode, --seed, --resolution, --t-step
+and --tol override mode, seed, domain.resolution, homotopy.dt and
+newton.tol; --out PREFIX sets out to PREFIX.csv and PREFIX.json.  The
+log level is warning under --quiet, else HESSQUOT_LOG, else verbosity.
 """
 
 import argparse
@@ -15,7 +48,7 @@ import os
 import platform
 import sys
 import tempfile
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import scipy
@@ -25,12 +58,7 @@ from . import expr as expr_mod
 from . import grid as grid_mod
 from .errors import ConfigError, NotAdmissibleError, ProblemSpecError, SolverError
 from .grid import Grid
-from .solver import (
-    HomotopyParams,
-    NewtonParams,
-    ProblemSpec,
-    solve_dirichlet,
-)
+from .solver import HomotopyParams, NewtonParams, ProblemSpec, solve_dirichlet
 from .symfun import QuotientSpec
 
 log = logging.getLogger("hessquot.cli")
@@ -41,14 +69,49 @@ _PROBLEM_ERRORS = (ProblemSpecError, NotAdmissibleError, expr_mod.DomainFaultErr
 _LEVELS = {"debug": logging.DEBUG, "info": logging.INFO,
            "warning": logging.WARNING, "error": logging.ERROR}
 
+# the value rule: the JSON types of each kind of value; a bool is none
+_INTEGER, _NUMBER, _STRING = "an integer", "a number", "a string"
+_OBJECT, _LIST, _PATH = "an object", "a list", "a path or null"
+_KINDS = {_INTEGER: int, _NUMBER: (int, float), _STRING: str,
+          _OBJECT: dict, _LIST: list, _PATH: (str, type(None))}
+_REQUIRED = object()
+# (flag, config section or None for the top level, key)
+_OVERRIDES = (("mode", None, "mode"), ("seed", None, "seed"),
+              ("resolution", "domain", "resolution"),
+              ("t_step", "homotopy", "dt"), ("tol", "newton", "tol"))
 
-def _require(cfg, key, types, where="config"):
-    if key not in cfg:
-        raise ConfigError(f"missing {where} key '{key}'")
-    value = cfg[key]
-    if not isinstance(value, types):
-        raise ConfigError(f"{where} key '{key}' has wrong type {type(value).__name__}")
+
+def _check(value, kind, name):
+    """``value`` when it is of ``kind`` under the value rule; a kind
+    ``[k]`` is a list whose every entry is of kind k."""
+    if isinstance(kind, list):
+        return [_check(v, kind[0], f"an entry of {name}")
+                for v in _check(value, _LIST, name)]
+    if isinstance(value, bool) or not isinstance(value, _KINDS[kind]):
+        raise ConfigError(f"{name} must be {kind}, got {type(value).__name__}")
     return value
+
+
+def _value(section, key, kind, where="config", default=_REQUIRED):
+    if key not in section:
+        if default is _REQUIRED:
+            raise ConfigError(f"missing {where} key '{key}'")
+        return default
+    return _check(section[key], kind, f"{where} key '{key}'")
+
+
+def _set_keys(section, where, **params):
+    """Arguments for the parameters in ``params`` (parameter -> (key, kind))
+    whose key ``section`` sets; the others keep their dataclass default."""
+    return {param: _value(section, key, kind, where)
+            for param, (key, kind) in params.items() if key in section}
+
+
+def _make(cls, **kwargs):
+    try:
+        return cls(**kwargs)
+    except ValueError as err:  # the dataclass rejected a value
+        raise ConfigError(str(err)) from err
 
 
 def load_config(path):
@@ -57,96 +120,71 @@ def load_config(path):
             cfg = json.load(fh)
     except OSError as err:
         raise ConfigError(f"cannot read config: {err}") from err
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # not JSON, or not UTF-8
         raise ConfigError(f"config is not valid JSON: {err}") from err
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
-    if _require(cfg, "version", int) != 1:
+    if _value(_check(cfg, _OBJECT, "the config"), "version", _INTEGER) != 1:
         raise ConfigError(f"unsupported config version {cfg['version']}")
     # sections must have their shape before overrides write into them
     for key in ("domain", "newton", "homotopy", "out"):
-        if key in cfg:
-            _require(cfg, key, dict)
+        _value(cfg, key, _OBJECT, default=None)
     return cfg
 
 
 def _apply_overrides(cfg, args):
-    if args.mode is not None:
-        cfg["mode"] = args.mode
-    if args.resolution is not None:
-        cfg.setdefault("domain", {})["resolution"] = args.resolution
-    if args.t_step is not None:
-        cfg.setdefault("homotopy", {})["dt"] = args.t_step
-    if args.tol is not None:
-        cfg.setdefault("newton", {})["tol"] = args.tol
-    if args.seed is not None:
-        cfg["seed"] = args.seed
+    for flag, section, key in _OVERRIDES:
+        value = getattr(args, flag)
+        if value is not None:
+            (cfg.setdefault(section, {}) if section else cfg)[key] = value
     if args.out is not None:
         cfg["out"] = {"grid": args.out + ".csv", "report": args.out + ".json"}
     return cfg
 
 
+def _output_paths(cfg):
+    """{key: path} of the outputs the config asks for, each checked so
+    that writing it cannot fail on its path after a solve."""
+    out = _value(cfg, "out", _OBJECT, default={})
+    paths = {}
+    for key in ("grid", "report"):
+        path = _value(out, key, _PATH, "out", default=None)
+        if not path:
+            continue
+        if os.path.isdir(path):
+            raise ConfigError(f"out.{key} {path!r} is an existing directory")
+        try:
+            os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+        except OSError as err:
+            raise ConfigError(f"out.{key} {path!r}: {err}") from err
+        paths[key] = path
+    return paths
+
+
 def _build_problem(cfg, mode):
-    n = _require(cfg, "n", int)
-    k = _require(cfg, "k", int)
-    l = _require(cfg, "l", int)
-    try:
-        quotient = QuotientSpec(n=n, k=k, l=l, tau=float(cfg.get("tau", 1.0)))
-    except (TypeError, ValueError) as err:
-        raise ConfigError(str(err)) from err
+    n, k, l = (_value(cfg, key, _INTEGER) for key in ("n", "k", "l"))
+    quotient = _make(QuotientSpec, n=n, k=k, l=l,
+                     **_set_keys(cfg, "config", tau=("tau", _NUMBER)))
 
-    domain = _require(cfg, "domain", dict)
-    lo = _require(domain, "lo", list, "domain")
-    hi = _require(domain, "hi", list, "domain")
-    res = _require(domain, "resolution", int, "domain")
-    try:
-        g = Grid(n=n, lo=tuple(lo), hi=tuple(hi), res=res)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(str(err)) from err
-
-    newton_cfg = cfg.get("newton", {})
-    homotopy_cfg = cfg.get("homotopy", {})
-    try:
-        newton = NewtonParams(
-            tol_residual=float(newton_cfg.get("tol", 1e-9)),
-            max_iters=int(newton_cfg.get("max_iters", 50)),
-        )
-        homotopy = HomotopyParams(
-            dt_init=float(homotopy_cfg.get("dt", 0.1)),
-            dt_min=float(homotopy_cfg.get("dt_min", 1e-4)),
-        )
-    except (TypeError, ValueError) as err:
-        raise ConfigError(str(err)) from err
+    domain = _value(cfg, "domain", _OBJECT)
+    lo, hi = (tuple(_value(domain, key, [_NUMBER], "domain")) for key in ("lo", "hi"))
+    g = _make(Grid, n=n, lo=lo, hi=hi,
+              res=_value(domain, "resolution", _INTEGER, "domain"))
+    newton = _make(NewtonParams, **_set_keys(
+        cfg.get("newton", {}), "newton",
+        tol_residual=("tol", _NUMBER), max_iters=("max_iters", _INTEGER)))
+    homotopy = _make(HomotopyParams, **_set_keys(
+        cfg.get("homotopy", {}), "homotopy",
+        dt_init=("dt", _NUMBER), dt_min=("dt_min", _NUMBER)))
 
     def parse_field(key):
-        text = _require(cfg, key, str)
-        return expr_mod.parse(text, n)
+        return expr_mod.parse(_value(cfg, key, _STRING), n)
 
     if mode == "manufactured":
-        # the subsolution entry doubles as the exact solution: the
-        # manufactured construction derives forcing and boundary data from
-        # it and starts the continuation there, on the sampled exact
-        # solution.  The path therefore spans only the gap between the
-        # operator on stencil Hessians and on exact Hessians, which is
-        # O(h^2); Newton budgets and dt in a manufactured config act on
-        # that gap alone
         from .verify import manufactured_problem
 
-        ustar = parse_field("subsolution")
-        prob, exact = manufactured_problem(ustar, g, quotient)
-        prob.newton = newton
-        prob.homotopy = homotopy
-        return prob, exact
-    prob = ProblemSpec(
-        grid=g,
-        quotient=quotient,
-        psi=parse_field("psi"),
-        phi=parse_field("phi"),
-        subsolution=parse_field("subsolution"),
-        newton=newton,
-        homotopy=homotopy,
-    )
-    return prob, None
+        prob, exact = manufactured_problem(parse_field("subsolution"), g, quotient)
+        return replace(prob, newton=newton, homotopy=homotopy), exact
+    fields = {key: parse_field(key) for key in ("psi", "phi", "subsolution")}
+    return ProblemSpec(g, quotient, **fields, newton=newton, homotopy=homotopy), None
 
 
 def _atomic_write(path, text):
@@ -162,126 +200,84 @@ def _atomic_write(path, text):
         raise
 
 
-def _write_grid(path, u):
-    _atomic_write(path, "\n".join(grid_mod.csv_lines(u)) + "\n")
-
-
 def _write_report(path, record):
     _atomic_write(path, json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
-def _versions():
-    return {
-        "hessquot": __version__,
-        "numpy": np.__version__,
-        "scipy": scipy.__version__,
-        "python": platform.python_version(),
-    }
-
-
-def _spec_section(cfg, mode):
-    keys = ("n", "k", "l", "tau", "domain", "psi", "phi", "subsolution",
-            "newton", "homotopy", "seed")
-    section = {key: cfg[key] for key in keys if key in cfg}
-    section["mode"] = mode
-    return section
-
-
-def _error_record(kind, message, **extra):
-    record = {"error": kind, "message": message}
-    record.update(extra)
+def _record(cfg, mode, **fields):
+    """The shared report header (a solve's carries its spec) plus fields."""
+    versions = {"hessquot": __version__, "numpy": np.__version__,
+                "scipy": scipy.__version__, "python": platform.python_version()}
+    record = {"version": 1, "mode": mode, "versions": versions}
+    if mode != "selftest":
+        keys = ("n", "k", "l", "tau", "domain", "psi", "phi", "subsolution",
+                "newton", "homotopy", "seed")
+        record["spec"] = {key: cfg[key] for key in keys if key in cfg}
+        record["spec"]["mode"] = mode
+    record.update(fields)
     return record
 
 
-def _emit_error(kind, message, **extra):
+def _emit_error(args, kind, message, **extra):
+    """Log the error and write its record to stderr; returns the record."""
+    _setup_logging(args, None)  # a no-op once a read config has set it up
     log.error("%s", message)
-    sys.stderr.write(json.dumps(_error_record(kind, message, **extra),
-                                sort_keys=True) + "\n")
+    record = {"error": kind, "message": message, **extra}
+    sys.stderr.write(json.dumps(record, sort_keys=True) + "\n")
+    return record
+
+
+def _selftest(cfg, seed, out):
+    from .verify import selftest
+
+    checks = selftest(seed)
+    for c in checks:
+        log.info("%-45s %s %s", c.name, "PASS" if c.passed else "FAIL", c.detail)
+    all_passed = all(c.passed for c in checks)
+    if "report" in out:
+        _write_report(out["report"], _record(
+            cfg, "selftest", seed=seed, checks=[asdict(c) for c in checks],
+            all_passed=all_passed))
+    return 0 if all_passed else 1
 
 
 def run(config_path, args):
     """Execute one run; returns the process exit code."""
     try:
         cfg = load_config(config_path)
+        _setup_logging(args, cfg.get("verbosity"))
         cfg = _apply_overrides(cfg, args)
-        mode = cfg.get("mode", "solve")
+        mode = _value(cfg, "mode", _STRING, default="solve")
         if mode not in _MODES:
             raise ConfigError(f"unknown mode {mode!r} (expected one of {_MODES})")
-        try:
-            seed = int(cfg.get("seed", 0))
-        except (TypeError, ValueError) as err:
-            raise ConfigError(f"seed: {err}") from err
-        out = cfg.get("out", {})
-        for key in ("grid", "report"):  # output directories exist before any solve
-            if out.get(key) is not None:
-                path = _require(out, key, str, "out")
-                try:
-                    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-                except OSError as err:
-                    raise ConfigError(f"out.{key} {path!r}: {err}") from err
-
+        seed = _value(cfg, "seed", _INTEGER, default=0)
+        out = _output_paths(cfg)
         if mode == "selftest":
-            from .verify import selftest
-
-            checks = selftest(seed)
-            for c in checks:
-                log.info("%-45s %s %s", c.name, "PASS" if c.passed else "FAIL", c.detail)
-            all_passed = all(c.passed for c in checks)
-            record = {
-                "version": 1,
-                "mode": mode,
-                "seed": seed,
-                "checks": [asdict(c) for c in checks],
-                "all_passed": all_passed,
-                "versions": _versions(),
-            }
-            if out.get("report"):
-                _write_report(out["report"], record)
-            return 0 if all_passed else 1
-
+            return _selftest(cfg, seed, out)
         prob, exact = _build_problem(cfg, mode)
+        u, report = solve_dirichlet(prob)
     except expr_mod.ParseError as err:
-        _emit_error("parse", str(err), offset=err.offset)
+        _emit_error(args, "parse", str(err), offset=err.offset)
         return 64
     except ConfigError as err:
-        _emit_error("config", str(err))
+        _emit_error(args, "config", str(err))
         return 64
     except _PROBLEM_ERRORS as err:
-        _emit_error("problem", str(err))
-        return 64
-
-    try:
-        u, report = solve_dirichlet(prob)
-    except _PROBLEM_ERRORS as err:
-        _emit_error("problem", str(err))
+        _emit_error(args, "problem", str(err))
         return 64
     except SolverError as err:
-        _emit_error("solver", str(err))
-        if out.get("report") and err.report is not None:
-            record = {
-                "version": 1,
-                "mode": mode,
-                "spec": _spec_section(cfg, mode),
-                "error": _error_record("solver", str(err)),
-                "versions": _versions(),
-            }
-            record.update(err.report.as_dict())
-            _write_report(out["report"], record)
+        error = _emit_error(args, "solver", str(err))
+        if "report" in out and err.report is not None:
+            _write_report(out["report"], _record(
+                cfg, mode, error=error, **err.report.as_dict()))
         return 1
 
-    record = {
-        "version": 1,
-        "mode": mode,
-        "spec": _spec_section(cfg, mode),
-        "converged": report.converged,
-        "versions": _versions(),
-    }
-    record.update(report.as_dict())
+    record = _record(cfg, mode, **report.as_dict())
     if exact is not None:
         record["error_inf"] = float(np.abs(u.values - exact.values).max())
-    if out.get("grid"):
-        _write_grid(out["grid"], u)
-    if out.get("report"):
+    if "grid" in out:
+        _atomic_write(out["grid"], "\n".join(grid_mod.csv_lines(u)) + "\n")
+    if "report" in out:
         _write_report(out["report"], record)
 
     diag = report.diagnostics
@@ -328,16 +324,7 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, help="override the random seed")
     parser.add_argument("--quiet", action="store_true", help="log warnings and errors only")
     args = parser.parse_args(argv)
-
-    verbosity = None
-    try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            verbosity = json.load(fh).get("verbosity")
-    except Exception:
-        pass  # the real loader reports the error with a proper exit code
-    _setup_logging(args, verbosity)
-    code = run(args.config, args)
-    return code
+    return run(args.config, args)
 
 
 if __name__ == "__main__":

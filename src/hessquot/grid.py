@@ -354,7 +354,13 @@ def _apply(values, stencil):
     (o, c), *rest = terms
     acc = c * _shifted(values, o)
     for o, c in rest:
-        acc += c * _shifted(values, o)
+        view = _shifted(values, o)
+        if c == 1.0:  # the bits of c * view, without the multiply
+            acc += view
+        elif c == -1.0:
+            acc -= view
+        else:
+            acc += c * view
     return acc / divisor
 
 

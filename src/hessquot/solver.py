@@ -246,10 +246,12 @@ def validate_problem(prob):
     try:
         fvals = grid_mod.hessian_fields(H, g, prob.quotient).values
     except NotAdmissibleError as err:
-        raise ProblemSpecError(
-            f"subsolution is not admissible at node {err.node} "
-            f"(sigma_{err.failing_index} <= 0)"
-        ) from err
+        row = grid_mod.sigma_tensors(H, prob.quotient)[0][g.rows[err.node]]
+        if np.all(np.isfinite(row)):
+            why = f"is not admissible at node {err.node} (sigma_{err.failing_index} <= 0)"
+        else:  # an overflow, not a sign
+            why = f"has a sigma table that overflows at node {err.node}: {row.tolist()}"
+        raise ProblemSpecError(f"subsolution {why}") from err
 
     x = g.interior_coords()
     ub = sub_gf.interior()

@@ -134,6 +134,8 @@ def test_invalid_problem_exits_64(tmp_path):
         {"tol": -1.0},
         {"max_iters": 0},
         {"max_iters": None},
+        {"tol": "1e-8"},
+        {"max_iters": 2.5},
     ],
 )
 def test_invalid_newton_params_exit_64(tmp_path, capsys, newton):
@@ -180,13 +182,18 @@ def test_config_sections_of_wrong_type_exit_64(tmp_path, capsys, extra, flags):
         {"tau": "abc"},
         {"domain": {"lo": [0, None, 0], "hi": [1, 1, 1], "resolution": 7}},
         {"seed": "x"},
+        {"version": True},
+        {"l": False},
+        {"seed": True},
+        {"domain": {"lo": [0, "0", 0], "hi": [1, 1, 1], "resolution": 7}},
     ],
 )
 def test_non_finite_problem_data_exit_64(tmp_path, capsys, extra):
     # an infinite tau or box edge used to pass construction and end in an
     # uncaught "NaN or Inf" ValueError from deep inside the solve; a string
     # or null where a number belongs ended in an uncaught ValueError or
-    # TypeError from float() or int()
+    # TypeError from float() or int(); a bool passed as an integer, and
+    # "l": false crashed inside the kernel
     path = _write(tmp_path, "f.cfg", _base_config(tmp_path, **extra))
     assert _run(path) == 64
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
@@ -199,12 +206,15 @@ def test_non_finite_problem_data_exit_64(tmp_path, capsys, extra):
     [
         ({"phi": "exp(1000*x1)", "subsolution": "exp(1000*x1)"}, "phi"),
         ({"tau": 1e308}, "tau*tr(H)*I - H"),
+        ({"psi": "1", "phi": f"1e200*{QUAD}", "subsolution": f"1e200*{QUAD}"},
+         "overflows"),
     ],
-    ids=["phi", "tau"],
+    ids=["phi", "tau", "sigma"],
 )
 def test_overflowing_problem_data_exit_64(tmp_path, capsys, extra, named):
     # finite inputs whose samples or transformed Hessians overflow ended in
-    # an uncaught "NaN or Inf" ValueError, exit 1, from inside validation
+    # an uncaught "NaN or Inf" ValueError, exit 1, from inside validation;
+    # a finite U whose sigma table overflows was reported as sigma_3 <= 0
     path = _write(tmp_path, "f.cfg", _base_config(tmp_path, **extra))
     with np.errstate(over="ignore", invalid="ignore"):
         assert _run(path) == 64
@@ -215,15 +225,25 @@ def test_overflowing_problem_data_exit_64(tmp_path, capsys, extra, named):
     assert not (tmp_path / "out.csv").exists()
 
 
-@pytest.mark.parametrize("key", ["grid", "report"])
+@pytest.mark.parametrize(
+    "key, parts",
+    [
+        ("grid", ("afile", "sub", "x")),
+        ("report", ("afile", "sub", "x")),
+        ("grid", ()),
+        ("report", ()),
+    ],
+    ids=["grid", "report", "grid-existing-dir", "report-existing-dir"],
+)
 def test_output_path_under_a_file_exits_64_before_solving(
-    tmp_path, capsys, monkeypatch, key
+    tmp_path, capsys, monkeypatch, key, parts
 ):
     # the solve used to run in full before the write failed with an
-    # uncaught FileExistsError, exit 1
+    # uncaught FileExistsError, or IsADirectoryError for a path naming an
+    # existing directory, exit 1
     (tmp_path / "afile").write_text("")
     cfg = _base_config(tmp_path)
-    cfg["out"][key] = str(tmp_path / "afile" / "sub" / "x")
+    cfg["out"][key] = str(tmp_path.joinpath(*parts))
     path = _write(tmp_path, "o.cfg", cfg)
     solved = []
     monkeypatch.setattr(cli, "solve_dirichlet", lambda prob: solved.append(prob))
@@ -233,6 +253,30 @@ def test_output_path_under_a_file_exits_64_before_solving(
     assert cfg["out"][key] in record["message"]
     assert solved == []
     assert sorted(os.listdir(tmp_path)) == ["afile", "o.cfg"]
+
+
+def test_config_is_read_once(tmp_path, monkeypatch):
+    # the log level once came from a second, unchecked read of the file
+    path = _write(tmp_path, "cfg.json", _base_config(tmp_path, verbosity="debug"))
+    opened = []
+    real_open = open
+
+    def spy(file, *a, **kw):
+        opened.append(str(file))
+        return real_open(file, *a, **kw)
+
+    monkeypatch.setattr("builtins.open", spy)
+    assert _run(path) == 0
+    assert opened.count(path) == 1
+
+
+def test_config_not_utf8_exits_64(tmp_path, capsys):
+    # a UnicodeDecodeError from the read ended in an uncaught traceback
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"\xff\xfe{")
+    assert _run(str(path)) == 64
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "config"
 
 
 def test_psi_fault_at_the_start_state_exits_64(tmp_path, capsys):
