@@ -27,7 +27,6 @@ from scipy import sparse
 
 from . import expr as expr_mod
 from . import symfun
-from .errors import NotAdmissibleError
 from .spectral import eta_transform, sym_eig
 
 
@@ -379,12 +378,6 @@ def interior_hessians(values, grid):
     return H.reshape(-1, n, n)
 
 
-def admissibility_margins(tables, n):
-    """Per-node minimum of sigma_j / C(n, j), 1 <= j <= k, over a sigma table."""
-    cols = [tables[:, j] / math.comb(n, j) for j in range(1, tables.shape[-1])]
-    return np.minimum.reduce(cols)
-
-
 @dataclass(slots=True)
 class _OperatorFields:
     """Per-node operator data shared by residual and Jacobian assembly;
@@ -408,6 +401,7 @@ class _OperatorFields:
         return 0.5 * (G + np.swapaxes(G, -1, -2))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def sigma_tensors(H, spec):
     """Eigen-free sigma table of U = tau*tr(H)*I - H for a stack H (N, n, n).
 
@@ -415,7 +409,8 @@ def sigma_tensors(H, spec):
     T_j = sigma_j I - U T_{j-1} (j = 1..k) gives the characteristic
     polynomial coefficients sigma_j, the elementary symmetric polynomials
     of the eigenvalues, and their derivatives d sigma_j / dU = T_{j-1}
-    (Newton transformations, Reilly 1973).  Never raises.  Returns the
+    (Newton transformations, Reilly 1973).  Never raises or warns: an
+    overflow stays in the table for the cone rule to report.  Returns the
     table [sigma_0..sigma_k] (N, k + 1) and grads = [0, T_0..T_{k-1}].
     """
     U = eta_transform(H, spec.tau)
@@ -434,15 +429,15 @@ def sigma_tensors(H, spec):
 def hessian_fields(H, grid, spec):
     """Operator fields at the interior Hessians H (N_int, n, n) of grid.
 
-    The first node where some sigma_j, 1 <= j <= k, is not positive raises
-    NotAdmissibleError with the node, that j and the eigenvalues of its U."""
+    The first node outside the order-k cone raises NotAdmissibleError
+    (``symfun.require_cone``) with the node and the eigenvalues of its U."""
     tables, grads = sigma_tensors(H, spec)
-    row, j = symfun._first_failing_index(tables, spec.k)
-    if row is not None:
-        lam = sym_eig(eta_transform(H[row], spec.tau)).values
-        raise NotAdmissibleError(lam, j, node=grid.interior_node(row))
+    symfun.require_cone(
+        tables, spec.k, lambda row: sym_eig(eta_transform(H[row], spec.tau)).values,
+        grid.interior_node,
+    )
     values = symfun._quotient_from_table(tables, spec.k, spec.l)
-    margin = float(np.min(admissibility_margins(tables, spec.n)))
+    margin = float(np.min(symfun.cone_margins(tables, spec.n)))
     return _OperatorFields(values, margin, tables, grads[spec.k], grads[spec.l])
 
 

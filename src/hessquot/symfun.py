@@ -7,9 +7,10 @@ assembly uses the eigen-free ``grid.sigma_tensors`` instead.
 
 Conventions: sigma_0 = 1, sigma_j = 0 for j < 0 or j > (number of
 entries).  The Garding cone of order k is the open set where
-sigma_1, ..., sigma_k are all strictly positive; membership is tested
-with zero tolerance because the cone is open and every downstream
-argument needs strict positivity.
+sigma_1, ..., sigma_k are all finite and strictly positive; membership is
+tested with zero tolerance because the cone is open and every downstream
+argument needs strict positivity.  ``cone_holds`` states that rule once;
+every cone test in the package, the grid kernel's included, goes through it.
 """
 
 import math
@@ -75,6 +76,7 @@ def sigma_all(lam):
     return _sigma_table(lam)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the cone rule reports overflow
 def _sigma_table(lam):
     # Recurrence core without validation; lam (..., m) -> (..., m + 1).
     m = lam.shape[-1]
@@ -118,8 +120,7 @@ def sigma_partial(lam, k, i):
         raise ValueError(f"need 1 <= k <= n, got k={k}")
     if not (0 <= i < n):
         raise ValueError(f"entry index {i} out of range for n={n}")
-    sub = np.delete(lam, i, axis=-1)
-    return _table_entry(_sigma_table(sub), k - 1)
+    return _deleted_tables(lam)[..., i, k - 1]
 
 
 def sigma_second_partial(lam, k, i, j):
@@ -136,12 +137,40 @@ def sigma_second_partial(lam, k, i, j):
         raise ValueError(f"need 2 <= k <= n, got k={k}")
     if not (0 <= i < n and 0 <= j < n):
         raise ValueError(f"entry indices ({i}, {j}) out of range for n={n}")
-    sub = np.delete(lam, (i, j), axis=-1)
-    return _table_entry(_sigma_table(sub), k - 2)
+    return _table_entry_pairs(lam, k - 2)[..., i, j]
+
+
+def cone_holds(values):
+    """The cone rule on sigma values or margins, elementwise: finite and
+    strictly positive, so NaN and +-inf fail."""
+    return np.isfinite(values) & (values > 0.0)
+
+
+def require_cone(table, k, eigenvalues, node=None):
+    """Raise NotAdmissibleError at the first row (C order) of a sigma table
+    [sigma_0, sigma_1, ...] outside the order-k cone.  The error names the
+    row's smallest failing j, whether sigma_j overflowed rather than being
+    <= 0, the row's ``eigenvalues(row)`` and, given ``node``, ``node(row)``."""
+    flat = table.reshape(-1, table.shape[-1])
+    # column by column: a strided (N, k) view is several times slower
+    inside = np.logical_and.reduce([cone_holds(flat[:, j]) for j in range(1, k + 1)])
+    if not inside.all():
+        row = int(np.argmin(inside))
+        j = int(np.argmin(cone_holds(flat[row, 1 : k + 1]))) + 1
+        raise NotAdmissibleError(eigenvalues(row), j, node(row) if node else None,
+                                 overflow=not np.isfinite(flat[row, j]))
+
+
+def cone_margins(table, n):
+    """Per-row minimum of sigma_j / C(n, j), 1 <= j <= k, over a sigma table
+    [sigma_0..sigma_k] of n eigenvalues; NaN where some sigma_j is not finite,
+    so a margin passes ``cone_holds`` exactly where its row is in the cone."""
+    cols = [table[..., j] / math.comb(n, j) for j in range(1, table.shape[-1])]
+    return np.where(np.isfinite(cols).all(axis=0), np.minimum.reduce(cols), np.nan)
 
 
 def in_gamma_k(lam, k):
-    """Strict Garding-cone membership: sigma_j(lam) > 0 for all 1 <= j <= k.
+    """Strict Garding-cone membership: sigma_j(lam) finite and > 0, 1 <= j <= k.
 
     Zero tolerance: the cone is open, and points on its boundary count as
     outside.  Returns a bool for a single vector, a bool array for a batch.
@@ -150,27 +179,18 @@ def in_gamma_k(lam, k):
     n = lam.shape[-1]
     if not (1 <= k <= n):
         raise ValueError(f"need 1 <= k <= n, got k={k}")
+    return np.all(cone_holds(_sigma_table(lam)[..., 1 : k + 1]), axis=-1)
+
+
+def _admissible_table(lam, k, n):
+    """lam (length n) as a float array and its sigma table; raises
+    NotAdmissibleError with the first vector outside the order-k cone."""
+    lam = _as_lambda(lam)
+    if lam.shape[-1] != n:
+        raise ValueError(f"eigenvalue vector length {lam.shape[-1]} != spec n={n}")
     table = _sigma_table(lam)
-    return np.all(table[..., 1 : k + 1] > 0.0, axis=-1)
-
-
-def _first_failing_index(table, k):
-    # Smallest j <= k with sigma_j not > 0 (NaN fails) in the first failing row.
-    bad = ~(table[..., 1 : k + 1] > 0.0)
-    flat = bad.reshape(-1, k)
-    rows = np.flatnonzero(flat.any(axis=1))
-    if rows.size == 0:
-        return None, None
-    row = int(rows[0])
-    j = int(np.argmax(flat[row])) + 1
-    return row, j
-
-
-def _require_admissible(lam, table, k, node=None):
-    row, j = _first_failing_index(table, k)
-    if row is not None:
-        flat_lam = lam.reshape(-1, lam.shape[-1])
-        raise NotAdmissibleError(flat_lam[row], j, node=node)
+    require_cone(table, k, lambda row: lam.reshape(-1, n)[row])
+    return lam, table
 
 
 def _quotient_from_table(table, k, l):
@@ -184,16 +204,8 @@ def quotient_value(lam, spec):
     Raises NotAdmissibleError (with the first failing sigma index) when lam
     is outside; inside, sigma_l > 0 is automatic so the ratio is safe.
     """
-    lam = _as_lambda(lam)
-    _check_dim(lam, spec)
-    table = _sigma_table(lam)
-    _require_admissible(lam, table, spec.k)
+    _, table = _admissible_table(lam, spec.k, spec.n)
     return _quotient_from_table(table, spec.k, spec.l)
-
-
-def _check_dim(lam, spec):
-    if lam.shape[-1] != spec.n:
-        raise ValueError(f"eigenvalue vector length {lam.shape[-1]} != spec n={spec.n}")
 
 
 def _quotient_gradient_core(lam, table, deleted, k, l):
@@ -214,10 +226,7 @@ def quotient_gradient(lam, spec):
     All components are strictly positive on the cone and their sum is at
     least (C(n,k)/C(n,l))^(1/(k-l)).  Shape (..., n) -> (..., n).
     """
-    lam = _as_lambda(lam)
-    _check_dim(lam, spec)
-    table = _sigma_table(lam)
-    _require_admissible(lam, table, spec.k)
+    lam, table = _admissible_table(lam, spec.k, spec.n)
     deleted = _deleted_tables(lam)
     return _quotient_gradient_core(lam, table, deleted, spec.k, spec.l)
 
@@ -248,12 +257,9 @@ def quotient_hessian(lam, spec):
     the cone it is negative semi-definite (the operator is concave) and
     annihilates lam itself (1-homogeneity).  Shape (..., n) -> (..., n, n).
     """
-    lam = _as_lambda(lam)
-    _check_dim(lam, spec)
+    lam, table = _admissible_table(lam, spec.k, spec.n)
     k, l = spec.k, spec.l
     m = k - l
-    table = _sigma_table(lam)
-    _require_admissible(lam, table, spec.k)
     deleted = _deleted_tables(lam)
 
     sk = table[..., k, None]
@@ -298,8 +304,7 @@ def newton_maclaurin_holds(lam, m, l, r, s):
     n = lam.shape[-1]
     if not (m > l >= 0 and r > s >= 0 and m >= r and l >= s and m <= n):
         raise ValueError(f"invalid exponent tuple (m,l,r,s)=({m},{l},{r},{s}) for n={n}")
-    table = _sigma_table(lam)
-    _require_admissible(lam, table, m)
+    lam, table = _admissible_table(lam, m, n)
     lhs = _normalized_mean(table, n, m, l)
     rhs = _normalized_mean(table, n, r, s)
     return np.all(lhs <= rhs + 1e-12) if lam.ndim > 1 else bool(lhs <= rhs + 1e-12)

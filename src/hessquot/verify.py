@@ -146,7 +146,7 @@ class DiagnosticsReport:
         checks = [
             self.max_principle_ok,
             self.psi_positive,
-            self.admissibility_min_margin > 0.0,
+            symfun.cone_holds(self.admissibility_min_margin),
             self.laplacian_min > 0.0,
         ]
         if self.comparison_ok is not None:
@@ -175,10 +175,10 @@ def run_diagnostics(u, prob):
     excess = float(u.values.max() - bmax)
     max_ok = excess <= 1e-8 * (1.0 + uinf)
 
-    # interior sigma table (never aborts: margins may come back negative)
+    # interior sigma table (never aborts: margins may come back negative or NaN)
     H = grid_mod.interior_hessians(u.values, g)
     tables, _ = grid_mod.sigma_tensors(H, spec)
-    margins = grid_mod.admissibility_margins(tables, spec.n)
+    margins = symfun.cone_margins(tables, spec.n)
     marg_row = int(np.argmin(margins))
 
     lap = np.trace(H, axis1=-2, axis2=-1)

@@ -1,5 +1,6 @@
 """Shared helpers for the test suite: batched cone sampling, admissible
-matrix construction, and the list of valid operator parameter triples."""
+matrix construction, the list of valid operator parameter triples, and an
+iterate whose sigma table overflows at one node."""
 
 import numpy as np
 import pytest
@@ -9,6 +10,13 @@ from hessquot.symfun import QuotientSpec
 
 
 cone_samples = symfun.sample_cone
+
+# Finite data whose sigma_2 overflows to +inf at the single node (7, 7)
+# (x1 = x2 = 1.75) of a res-9 grid on [0, 2]^2, for (n, k, l) = (2, 2, 0):
+# U = c diag(x2^6, x1^6), c = 4.8e152, has finite positive eigenvalues
+# everywhere, and sigma_2 = c^2 (x1 x2)^6 exceeds 1.8e308 only there, at
+# most half of that elsewhere, on finite-difference and exact Hessians alike
+OVERFLOW_OCTIC = "4.8e152*(x1^8 + x2^8)/56"
 
 
 def valid_triples(n_max=6):

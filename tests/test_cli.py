@@ -1,8 +1,8 @@
 import json
 import math
 import os
+import warnings
 
-import numpy as np
 import pytest
 
 from hessquot import cli
@@ -207,17 +207,27 @@ def test_non_finite_problem_data_exit_64(tmp_path, capsys, extra):
         ({"phi": "exp(1000*x1)", "subsolution": "exp(1000*x1)"}, "phi"),
         ({"tau": 1e308}, "tau*tr(H)*I - H"),
         ({"psi": "1", "phi": f"1e200*{QUAD}", "subsolution": f"1e200*{QUAD}"},
-         "overflows"),
+         "subsolution is not admissible at node (1, 1, 1) (sigma_2 overflows)"),
+        ({"k": 2, "l": 0, "psi": "1", "phi": f"1e200*{QUAD}",
+          "subsolution": f"1e200*{QUAD}"},
+         "subsolution is not admissible at node (1, 1, 1) (sigma_2 overflows)"),
+        ({"mode": "manufactured", "subsolution": f"1e200*{QUAD}"},
+         "not admissible at node (1, 1, 1): sigma_2 overflows"),
     ],
-    ids=["phi", "tau", "sigma"],
+    ids=["phi", "tau", "sigma", "sigma-k2", "sigma-manufactured"],
 )
 def test_overflowing_problem_data_exit_64(tmp_path, capsys, extra, named):
     # finite inputs whose samples or transformed Hessians overflow ended in
     # an uncaught "NaN or Inf" ValueError, exit 1, from inside validation;
-    # a finite U whose sigma table overflows was reported as sigma_3 <= 0
+    # a finite U whose sigma table overflows was reported as sigma_3 <= 0,
+    # or, with (k, l) = (2, 0), passed validation (sigma_2 = +inf > 0) and
+    # failed the first kernel call of the solve as sigma_2 <= 0; the numpy
+    # over/invalid warnings of the sigma recurrences reached stderr
     path = _write(tmp_path, "f.cfg", _base_config(tmp_path, **extra))
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         assert _run(path) == 64
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record["error"] == "problem"
     assert named in record["message"]

@@ -16,7 +16,7 @@ from hessquot.spectral import eta_transform, operator_gradient
 from hessquot.symfun import QuotientSpec
 from hessquot.verify import manufactured_problem, sigma_bruteforce
 
-from conftest import inverse_eta, random_orthogonal, valid_triples
+from conftest import OVERFLOW_OCTIC, inverse_eta, random_orthogonal, valid_triples
 
 # Margins, as |sigma_j| / rho(U)^j, beyond which the cone decision and the
 # gradient are well conditioned on both routes.
@@ -111,3 +111,28 @@ def test_inadmissible_node_reported_alike_by_every_caller():
         assert len(err.lam) == 2
         assert np.allclose(err.lam, [-0.5, 1.0], rtol=0.0, atol=1e-12)
     assert "at node (2, 1) (sigma_2 <= 0)" in str(validate_err.value)
+
+
+def test_overflowing_node_reported_alike_by_every_caller():
+    # the +inf sigma_2 at (7, 7) used to pass every cone test
+    g = Grid(n=2, lo=(0, 0), hi=(2, 2), res=9)
+    spec = QuotientSpec(2, 2, 0)
+    ustar = expr_mod.parse(OVERFLOW_OCTIC, 2)
+    prob = ProblemSpec(
+        grid=g, quotient=spec, psi=expr_mod.parse("1", 2), phi=ustar, subsolution=ustar
+    )
+    u = sample_expression(ustar, g)
+
+    with pytest.raises(NotAdmissibleError) as residual_err:
+        assemble_residual(u, prob, 0.0, np.zeros(g.num_interior))
+    with pytest.raises(NotAdmissibleError) as manufactured_err:
+        manufactured_problem(ustar, g, spec)
+    with pytest.raises(ProblemSpecError) as validate_err:
+        validate_problem(prob)
+
+    for err in (residual_err.value, manufactured_err.value):
+        assert err.node == (7, 7)
+        assert err.failing_index == 2
+        assert err.overflow
+        assert np.all(np.isfinite(err.lam)) and min(err.lam) > 0.0
+    assert "at node (7, 7) (sigma_2 overflows)" in str(validate_err.value)

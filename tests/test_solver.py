@@ -365,6 +365,25 @@ def test_validate_rejects_inadmissible_subsolution():
         validate_problem(prob)
 
 
+def test_validate_rejects_overflowing_subsolution():
+    # every eigenvalue of U is 2e200 > 0, but sigma_2 = 1.2e401 overflows:
+    # with (k, l) = (2, 0) the +inf passed validation, and the first kernel
+    # call of the solve then reported it as sigma_2 <= 0
+    big = expr_mod.parse(f"1e200*{QUAD}", 3)
+    prob = ProblemSpec(
+        grid=_grid3(7),
+        quotient=QuotientSpec(3, 2, 0),
+        psi=expr_mod.parse("1", 3),
+        phi=big,
+        subsolution=big,
+    )
+    with pytest.raises(ProblemSpecError) as err:
+        validate_problem(prob)
+    assert "subsolution is not admissible at node (1, 1, 1) (sigma_2 overflows)" in str(
+        err.value
+    )
+
+
 def test_validate_warns_on_nonpositive_psi_z():
     g = _grid3(7)
     prob = ProblemSpec(

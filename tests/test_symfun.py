@@ -64,6 +64,16 @@ def test_cone_membership():
         assert symfun.in_gamma_k([1, 1, 1, 1], k)
 
 
+def test_overflowed_sigma_is_outside_cone():
+    # every eigenvalue is positive, but sigma_2 = 3e400 overflows to +inf,
+    # which used to pass the > 0 test and make the quotient +inf
+    assert not symfun.in_gamma_k([1e200] * 3, 3)
+    with pytest.raises(NotAdmissibleError) as err:
+        symfun.quotient_value([1e200] * 3, QuotientSpec(3, 3, 1))
+    assert err.value.failing_index == 2 and err.value.overflow
+    assert str(err.value).endswith(": sigma_2 overflows")
+
+
 def test_cone_boundary_is_outside():
     # sigma_2 = 0 exactly: open cone, zero tolerance
     assert not symfun.in_gamma_k([1.0, 0.0, 0.0], 2)

@@ -18,6 +18,8 @@ from hessquot.verify import (
 )
 from hessquot.solver import solve_dirichlet
 
+from conftest import OVERFLOW_OCTIC
+
 QUAD3 = "(x1^2 + x2^2 + x3^2)/2"
 
 
@@ -149,6 +151,22 @@ def test_diagnostics_never_aborts_on_inadmissible_state():
     d = run_diagnostics(wrecked, prob)
     assert d.admissibility_min_margin <= 0.0
     assert not d.all_ok()
+
+
+def test_diagnostics_flag_an_overflowed_sigma_table():
+    # sigma_2 = +inf at (7, 7) alone gave that node a finite positive margin,
+    # so all_ok() held; every other check passes on this iterate
+    g = Grid(n=2, lo=(0, 0), hi=(2, 2), res=9)
+    ustar = expr_mod.parse(OVERFLOW_OCTIC, 2)
+    prob = ProblemSpec(
+        grid=g, quotient=QuotientSpec(2, 2, 0), psi=expr_mod.parse("1", 2),
+        phi=ustar, subsolution=ustar,
+    )
+    d = run_diagnostics(sample_expression(ustar, g), prob)
+    assert d.admissibility_node == (7, 7)
+    assert math.isnan(d.admissibility_min_margin)
+    assert d.max_principle_ok and d.psi_positive and d.laplacian_min > 0.0
+    assert d.all_ok() is False
 
 
 def test_selftest_battery_passes():
