@@ -6,16 +6,20 @@ class NotAdmissibleError(ValueError):
 
     Carries the offending eigenvalue list, the first sigma index j that
     failed the cone rule (sigma_j finite and > 0), whether sigma_j overflowed
-    to +-inf or NaN rather than being <= 0 (``reason`` names which), and
-    (when raised during grid assembly) the multi-index of the offending node.
+    to +-inf or NaN rather than being <= 0, and (when raised during grid
+    assembly) the multi-index of the offending node.  NaN eigenvalues mean
+    tau*tr(H)*I - H was not finite, also an overflow.  ``reason`` reads
+    "sigma_j <= 0", "sigma_j overflows" or "tau*tr(H)*I - H is not finite".
     """
 
     def __init__(self, lam, failing_index, node=None, overflow=False):
         self.lam = tuple(float(v) for v in lam)
         self.failing_index = int(failing_index)
         self.node = tuple(int(i) for i in node) if node is not None else None
-        self.overflow = bool(overflow)
-        self.reason = f"sigma_{self.failing_index} " + ("overflows" if self.overflow else "<= 0")
+        nan = any(v != v for v in self.lam)
+        self.overflow = bool(overflow) or nan
+        self.reason = "tau*tr(H)*I - H is not finite" if nan else (
+            f"sigma_{self.failing_index} " + ("overflows" if self.overflow else "<= 0"))
         where = f" at node {self.node}" if self.node is not None else ""
         super().__init__(f"eigenvalues {self.lam} not admissible{where}: {self.reason}")
 

@@ -15,6 +15,11 @@ copy.  Each grid builds its Jacobian pattern once (row pointers, column
 indices and the data slot of every stencil offset at every node);
 assembly accumulates per-offset weight arrays and fills the matrix data
 with one gather through that pattern.
+
+The operator kernel, ``hessian_fields``, is total: on any Hessian stack
+it returns the operator fields or raises NotAdmissibleError at the first
+node outside the cone, also where tau*tr(H)*I - H is not finite.  Stencils
+and sigma tables pass an overflow on silently, for the cone rule to report.
 """
 
 import math
@@ -363,12 +368,14 @@ def _apply(values, stencil):
     return acc / divisor
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the cone rule reports overflow
 def interior_gradients(values, grid):
     """Central-difference gradients at all interior nodes, shape (N_int, n)."""
     cols = [_apply(values, s).reshape(-1) for s in grid.stencils.gradient]
     return np.stack(cols, axis=-1)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the cone rule reports overflow
 def interior_hessians(values, grid):
     """Stencil Hessians at all interior nodes, shape (N_int, n, n)."""
     n = grid.n
@@ -409,9 +416,10 @@ def sigma_tensors(H, spec):
     T_j = sigma_j I - U T_{j-1} (j = 1..k) gives the characteristic
     polynomial coefficients sigma_j, the elementary symmetric polynomials
     of the eigenvalues, and their derivatives d sigma_j / dU = T_{j-1}
-    (Newton transformations, Reilly 1973).  Never raises or warns: an
-    overflow stays in the table for the cone rule to report.  Returns the
-    table [sigma_0..sigma_k] (N, k + 1) and grads = [0, T_0..T_{k-1}].
+    (Newton transformations, Reilly 1973); sigma_j = tr(U T_{j-1} / j)
+    where the trace overflows.  Never raises or warns: an overflow stays in
+    the table for the cone rule to report.  Returns the table
+    [sigma_0..sigma_k] (N, k + 1) and grads = [0, T_0..T_{k-1}].
     """
     U = eta_transform(H, spec.tau)
     eye = np.eye(U.shape[-1])
@@ -420,6 +428,9 @@ def sigma_tensors(H, spec):
     M = U  # U T_{j-1}
     for j in range(1, spec.k + 1):
         tables[:, j] = np.trace(M, axis1=-2, axis2=-1) / j
+        big = ~np.isfinite(tables[:, j])
+        if big.any():
+            tables[big, j] = np.trace(M[big] / j, axis1=-2, axis2=-1)
         if j < spec.k:
             grads.append(tables[:, j, None, None] * eye - M)
             M = U @ grads[-1]
@@ -429,13 +440,16 @@ def sigma_tensors(H, spec):
 def hessian_fields(H, grid, spec):
     """Operator fields at the interior Hessians H (N_int, n, n) of grid.
 
-    The first node outside the order-k cone raises NotAdmissibleError
-    (``symfun.require_cone``) with the node and the eigenvalues of its U."""
+    The first node outside the order-k cone, finite or not, raises
+    NotAdmissibleError (``symfun.require_cone``) with the node and the
+    eigenvalues of its U, n NaN where U is not finite."""
     tables, grads = sigma_tensors(H, spec)
-    symfun.require_cone(
-        tables, spec.k, lambda row: sym_eig(eta_transform(H[row], spec.tau)).values,
-        grid.interior_node,
-    )
+
+    def eigenvalues(row):
+        with np.errstate(over="ignore", invalid="ignore"):
+            U = eta_transform(H[row], spec.tau)
+        return sym_eig(U).values if np.isfinite(U).all() else np.full(spec.n, np.nan)
+    symfun.require_cone(tables, spec.k, eigenvalues, grid.interior_node)
     values = symfun._quotient_from_table(tables, spec.k, spec.l)
     margin = float(np.min(symfun.cone_margins(tables, spec.n)))
     return _OperatorFields(values, margin, tables, grads[spec.k], grads[spec.l])

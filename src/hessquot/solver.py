@@ -53,7 +53,6 @@ from .errors import (
     SolverError,
 )
 from .grid import Grid, GridFunction, _residual_state
-from .spectral import eta_transform
 from .symfun import QuotientSpec
 
 log = logging.getLogger("hessquot.solver")
@@ -241,10 +240,6 @@ def validate_problem(prob):
     # inequality is a statement about the function, and stencil error
     # would swamp the 1e-8 slack on coarse grids
     H = grid_mod.exact_interior_hessians(prob.subsolution, g)
-    with np.errstate(over="ignore", invalid="ignore"):
-        finite = np.all(np.isfinite(eta_transform(H, prob.quotient.tau)))
-    if not finite:
-        raise ProblemSpecError("tau*tr(H)*I - H of the subsolution is not finite")
     try:
         fvals = grid_mod.hessian_fields(H, g, prob.quotient).values
     except NotAdmissibleError as err:
@@ -273,17 +268,18 @@ def validate_problem(prob):
     return warnings_out
 
 
-def homotopy_rhs_field(prob):
-    """operator(U[subsolution]) on interior nodes, the t = 0 forcing
-    ``newton_stage`` uses by default.
-
-    Uses the stencil Hessian of the sampled subsolution so the start of
-    the path is exact in the discrete sense; inadmissibility of the
-    discretized subsolution is an error.
-    """
+def _start(prob):
+    """The continuation's start iterate: the subsolution, boundary set to phi."""
     sub = grid_mod.sample_expression(prob.subsolution, prob.grid)
-    fields = grid_mod._operator_fields(sub.values, prob.grid, prob.quotient)
-    return fields.values
+    return _with_boundary_data(sub.values, prob)
+
+
+def homotopy_rhs_field(prob):
+    """operator(U[start]) on interior nodes, by the stencil Hessian of the
+    continuation's start iterate ``_start``: the solver's t = 0 forcing and
+    ``newton_stage``'s default, so the path starts exactly in the discrete
+    sense.  A start outside the cone raises NotAdmissibleError."""
+    return grid_mod._operator_fields(_start(prob).values, prob.grid, prob.quotient).values
 
 
 _RELRES_GATE = 1e-10
@@ -421,10 +417,7 @@ def _newton(u, t, prob, psi0):
 def newton_stage(u0, t, prob, psi0=None):
     """Solve one continuation stage; the iterate must start admissible and
     boundary-correct."""
-    if psi0 is None:
-        psi0 = homotopy_rhs_field(prob)
-    u, _ = _newton(u0, t, prob, psi0)
-    return u
+    return _newton(u0, t, prob, homotopy_rhs_field(prob) if psi0 is None else psi0)[0]
 
 
 def _secant(u_prev, t_prev, u, t, t_next):
@@ -457,7 +450,7 @@ def _continuation(prob, stages):
     step control collapses below its floor.
     """
     g = prob.grid
-    u = _with_boundary_data(grid_mod.sample_expression(prob.subsolution, g).values, prob)
+    u = _start(prob)
 
     # the operator fields do not depend on t, and at t = 1 the t = 0
     # forcing carries no weight

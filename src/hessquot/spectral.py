@@ -47,12 +47,6 @@ def _as_symmetric(A, what="matrix"):
     return A
 
 
-def symmetrize(A):
-    """Average a nearly-symmetric matrix with its transpose."""
-    A = np.asarray(A, dtype=float)
-    return 0.5 * (A + np.swapaxes(A, -1, -2))
-
-
 def eta_transform(A, tau):
     """tau * tr(A) * I - A, the linear map feeding the operator.
 
@@ -102,7 +96,7 @@ def operator_gradient(U, spec):
     pair = sym_eig(U)
     f = symfun.quotient_gradient(pair.values, spec)
     G = np.einsum("...ip,...p,...jp->...ij", pair.vectors, f, pair.vectors)
-    return symmetrize(G)
+    return 0.5 * (G + np.swapaxes(G, -1, -2))
 
 
 def eta_operator_gradient(A, spec):

@@ -317,29 +317,23 @@ def _normalized_mean(table, n, a, b):
 
 
 def sample_gamma_k(n, k, seed):
-    """Deterministic rejection sampler for the order-k cone.
-
-    Draws entries from a normal distribution with mean 1 and standard
-    deviation 1 and rejects until the cone test passes; the cone contains
-    the positive orthant so acceptance is quick.  Fails with
-    SamplerExhaustedError after 10^5 rejected draws.
-    """
-    if not (1 <= k <= n):
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    rng = np.random.default_rng(seed)
-    for _ in range(100_000):
-        lam = rng.normal(1.0, 1.0, size=n)
-        if bool(in_gamma_k(lam, k)):
-            return lam
-    raise SamplerExhaustedError(f"no point of the order-{k} cone found in 1e5 draws")
+    """One point of the order-k cone, ``sample_cone`` with the generator
+    seeded by ``seed``: deterministic per seed."""
+    return sample_cone(np.random.default_rng(seed), n, k, 1)[0]
 
 
 def sample_cone(rng, n, k, count):
-    """``count`` points of the order-k cone, from batched N(1, 1) draws of ``rng``."""
+    """``count`` points of the order-k cone by rejection from batched N(1, 1)
+    draws of ``rng`` (a batch's rows are the draws one at a time would give).
+    Fails with SamplerExhaustedError after 10^5 draws per point."""
     out = np.empty((count, n))
-    have = 0
+    have = drawn = 0
     while have < count:
+        if drawn >= 100_000 * count:
+            raise SamplerExhaustedError(
+                f"order-{k} cone: {have} of {count} points in {drawn} draws")
         draw = rng.normal(1.0, 1.0, size=(4 * (count - have) + 16, n))
+        drawn += draw.shape[0]
         keep = draw[in_gamma_k(draw, k)]
         take = min(count - have, keep.shape[0])
         out[have : have + take] = keep[:take]

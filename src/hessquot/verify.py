@@ -21,7 +21,7 @@ from . import grid as grid_mod
 from . import symfun
 from .errors import OracleScaleError
 from .grid import Grid, GridFunction
-from .solver import ProblemSpec, PsiField, solve_dirichlet
+from .solver import ProblemSpec, PsiField, _sample_data, solve_dirichlet
 from .spectral import sym_eig
 
 _MAX_ORACLE_DIM = 8
@@ -75,8 +75,7 @@ def manufactured_problem(ustar, grid, spec, subsolution=None):
         phi=ustar,
         subsolution=subsolution if subsolution is not None else ustar,
     )
-    exact = grid_mod.sample_expression(ustar, grid)
-    return prob, exact
+    return prob, _sample_data(prob, "phi")
 
 
 @dataclass
@@ -181,7 +180,8 @@ def run_diagnostics(u, prob):
     margins = symfun.cone_margins(tables, spec.n)
     marg_row = int(np.argmin(margins))
 
-    lap = np.trace(H, axis1=-2, axis2=-1)
+    with np.errstate(invalid="ignore"):  # +inf and -inf on one diagonal
+        lap = np.trace(H, axis1=-2, axis2=-1)
     lap_row = int(np.argmin(lap))
 
     x = g.interior_coords()

@@ -213,8 +213,13 @@ def test_non_finite_problem_data_exit_64(tmp_path, capsys, extra):
          "subsolution is not admissible at node (1, 1, 1) (sigma_2 overflows)"),
         ({"mode": "manufactured", "subsolution": f"1e200*{QUAD}"},
          "not admissible at node (1, 1, 1): sigma_2 overflows"),
+        ({"mode": "manufactured", "subsolution": f"{QUAD} + exp(1000*(1-x1))"},
+         "not admissible at node (1, 1, 1): tau*tr(H)*I - H is not finite"),
+        ({"mode": "manufactured", "subsolution": f"{QUAD} + 1e-300*exp(710*x1)"},
+         "phi cannot be sampled on the grid"),
     ],
-    ids=["phi", "tau", "sigma", "sigma-k2", "sigma-manufactured"],
+    ids=["phi", "tau", "sigma", "sigma-k2", "sigma-manufactured",
+         "manufactured-hessian", "manufactured-sample"],
 )
 def test_overflowing_problem_data_exit_64(tmp_path, capsys, extra, named):
     # finite inputs whose samples or transformed Hessians overflow ended in
@@ -222,7 +227,9 @@ def test_overflowing_problem_data_exit_64(tmp_path, capsys, extra, named):
     # a finite U whose sigma table overflows was reported as sigma_3 <= 0,
     # or, with (k, l) = (2, 0), passed validation (sigma_2 = +inf > 0) and
     # failed the first kernel call of the solve as sigma_2 <= 0; the numpy
-    # over/invalid warnings of the sigma recurrences reached stderr
+    # over/invalid warnings of the sigma recurrences reached stderr; in
+    # manufactured mode a non-finite exact Hessian or sample ended in an
+    # uncaught ValueError, exit 1
     path = _write(tmp_path, "f.cfg", _base_config(tmp_path, **extra))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

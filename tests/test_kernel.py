@@ -1,6 +1,8 @@
 """The eigen-free operator kernel (grid.sigma_tensors / grid.hessian_fields)
 against the eigenvalue route, and uniform failure reporting by its callers."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -136,3 +138,70 @@ def test_overflowing_node_reported_alike_by_every_caller():
         assert err.overflow
         assert np.all(np.isfinite(err.lam)) and min(err.lam) > 0.0
     assert "at node (7, 7) (sigma_2 overflows)" in str(validate_err.value)
+
+
+def _quad2_prob(g, spec):
+    quad = expr_mod.parse("(x1^2 + x2^2)/2", 2)
+    return ProblemSpec(
+        grid=g, quotient=spec, psi=expr_mod.parse("1", 2), phi=quad, subsolution=quad
+    )
+
+
+def test_non_finite_transformed_hessian_is_reported_by_the_kernel():
+    # one node at 1.7e308 makes the cross stencil at (3, 3) overflow; the
+    # witness called sym_eig on that U and raised an untyped ValueError
+    # ("matrix contains NaN or Inf"), and the stencils warned on overflow
+    g = Grid(n=2, lo=(0, 0), hi=(1, 1), res=9)
+    prob = _quad2_prob(g, QuotientSpec(2, 2, 0))
+    u = sample_expression(prob.phi, g)
+    u.values[4, 4] = 1.7e308
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NotAdmissibleError) as err:
+            assemble_residual(u, prob, 0.0, np.zeros(g.num_interior))
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert err.value.node == (3, 3)
+    assert err.value.overflow
+    assert len(err.value.lam) == 2 and np.all(np.isnan(err.value.lam))
+    assert err.value.reason == "tau*tr(H)*I - H is not finite"
+    assert "at node (3, 3): tau*tr(H)*I - H is not finite" in str(err.value)
+
+
+def test_manufactured_problem_rejects_a_non_finite_exact_hessian():
+    # exp(1000*(1 - x1)) overflows on the grid: the exact Hessian is not
+    # finite, which ended in an untyped ValueError from sym_eig
+    g = Grid(n=2, lo=(0, 0), hi=(1, 1), res=9)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NotAdmissibleError) as err:
+            manufactured_problem(
+                expr_mod.parse("x1^2 + exp(1000*(1-x1))", 2), g, QuotientSpec(2, 2, 0)
+            )
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert err.value.node == (1, 1)
+    assert err.value.reason == "tau*tr(H)*I - H is not finite"
+
+
+def test_sigma_table_stays_finite_where_only_the_trace_overflows():
+    # sigma_2 = a^2 = 1.2e308 is finite, but the trace 2 sigma_2 is not:
+    # the kernel's table read [1, 2.19e154, inf]
+    a = np.sqrt(1.2e308)
+    spec = QuotientSpec(2, 2, 0)
+    H = inverse_eta(np.diag([a, a]), spec.tau)[None]
+    tables, _ = grid_mod.sigma_tensors(H, spec)
+    assert np.isfinite(tables).all()
+    assert np.allclose(tables[0], symfun.sigma_all([a, a]), rtol=1e-14, atol=0.0)
+
+
+def test_kernel_accepts_a_finite_sigma_table_near_overflow():
+    # sigma_2 at (7, 7) lies in (0.9e308, 1.8e308): the kernel rejected
+    # that node as an overflow while the eigenvalue route accepted it
+    g = Grid(n=2, lo=(0, 0), hi=(2, 2), res=9)
+    spec = QuotientSpec(2, 2, 0)
+    u = sample_expression(expr_mod.parse("3.3e153*(x1^4 + x2^4)/12", 2), g)
+    H = grid_mod.interior_hessians(u.values, g)
+    fields = grid_mod.hessian_fields(H, g, spec)
+    lam = np.linalg.eigvalsh(eta_transform(H, spec.tau))
+    assert symfun.in_gamma_k(lam, spec.k).all()
+    assert np.isfinite(fields.values).all()
+    assert np.allclose(fields.tables, symfun.sigma_all(lam), rtol=1e-12, atol=0.0)

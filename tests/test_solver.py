@@ -415,6 +415,57 @@ def test_homotopy_rhs_field_quadratic_closed_form():
     assert np.allclose(psi0, np.sqrt(4 / 3), rtol=1e-14)
 
 
+def _quad_problem(subsolution):
+    # 3-D (3,1) at res 9 with exact solution QUAD and an increasing psi
+    return ProblemSpec(
+        grid=_grid3(9), quotient=_spec31(),
+        psi=expr_mod.parse(f"sqrt(4/3) + 0.5*(u - {QUAD})", 3),
+        phi=expr_mod.parse(QUAD, 3), subsolution=expr_mod.parse(subsolution, 3),
+    )
+
+
+def test_homotopy_rhs_field_is_the_solvers_t0_forcing(monkeypatch):
+    # the subsolution misses phi by up to 5e-11 on the boundary, which
+    # validation allows; homotopy_rhs_field read the raw subsolution there
+    # and differed from the solver's forcing by 3.4e-9, above the tolerance
+    prob = _quad_problem(f"{QUAD} - 0.4*{BUMP} + 5e-11*x1")
+    calls = []
+    newton = solver_mod._newton
+
+    def record(u, t, p, psi0):
+        calls.append((u, psi0))
+        return newton(u, t, p, psi0)
+
+    monkeypatch.setattr(solver_mod, "_newton", record)
+    _, report = solve_dirichlet(prob)
+    assert report.converged
+    start, psi0 = calls[0]  # the first attempt starts on the start iterate
+    assert homotopy_rhs_field(prob).tobytes() == psi0.tobytes()
+    assert np.array_equal(newton_stage(start, 0.0, prob).values, start.values)
+
+
+def test_line_search_halves_an_overflowing_trial(monkeypatch):
+    # a trial with a node at 1.7e308 made the kernel's witness raise an
+    # untyped ValueError that escaped the line search and the solve
+    prob = _quad_problem(f"{QUAD} - 0.4*{BUMP}")
+    steps = []
+    step = solver_mod._step
+
+    def poisoned(u, delta, s):
+        out = step(u, delta, s)
+        if not steps:
+            out.values[4, 4, 4] = 1.7e308
+        steps.append(s)
+        return out
+
+    monkeypatch.setattr(solver_mod, "_step", poisoned)
+    _, report = solve_dirichlet(prob)
+    assert report.converged
+    assert steps[:2] == [1.0, 0.5]
+    # trials minus accepted Newton steps: the poisoned trial is a backtrack
+    assert len(steps) - sum(s.newton_iters for s in report.stages) >= 1
+
+
 def test_linear_solve_identity():
     b = np.array([1.0, -2.0, 3.0])
     sys_ = SparseSystem(matrix=sparse.eye(3, format="csr"), rhs=b)

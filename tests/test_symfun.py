@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hessquot import symfun
-from hessquot.errors import NotAdmissibleError
+from hessquot.errors import NotAdmissibleError, SamplerExhaustedError
 from hessquot.symfun import QuotientSpec
 
 from conftest import cone_samples, valid_triples
@@ -293,6 +293,20 @@ def test_sampler_deterministic_and_inside():
     c = symfun.sample_gamma_k(3, 1, 17)
     assert symfun.in_gamma_k(c, 1)
     assert not np.array_equal(a, symfun.sample_gamma_k(3, 3, 18))
+
+
+def test_sampler_gives_up_after_its_draw_budget():
+    class Negative:
+        # every draw lies outside every cone; stops a sampler without a budget
+        calls = 0
+
+        def normal(self, loc, scale, size):
+            self.calls += 1
+            assert self.calls < 50_000
+            return -np.ones(size)
+
+    with pytest.raises(SamplerExhaustedError):
+        symfun.sample_cone(Negative(), 3, 1, 2)
 
 
 def test_spec_validation():

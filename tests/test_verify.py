@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -166,6 +167,30 @@ def test_diagnostics_flag_an_overflowed_sigma_table():
     assert d.admissibility_node == (7, 7)
     assert math.isnan(d.admissibility_min_margin)
     assert d.max_principle_ok and d.psi_positive and d.laplacian_min > 0.0
+    assert d.all_ok() is False
+
+
+@pytest.mark.parametrize(
+    "spikes", [{(4, 4): 1.7e308}, {(4, 4): 1.7e308, (5, 5): -1.7e308}],
+    ids=["one", "opposite"],
+)
+def test_diagnostics_on_a_non_finite_hessian_do_not_warn(spikes):
+    # one node at 1.7e308: the stencils and the sigma recurrence warned on
+    # overflow; with a -1.7e308 beside it, the Laplacian at (4, 5) adds
+    # +inf and -inf; the NaN margin must still fail all_ok()
+    g = Grid(n=2, lo=(0, 0), hi=(1, 1), res=9)
+    quad = expr_mod.parse("(x1^2 + x2^2)/2", 2)
+    prob = ProblemSpec(
+        grid=g, quotient=QuotientSpec(2, 2, 0), psi=expr_mod.parse("1", 2),
+        phi=quad, subsolution=quad,
+    )
+    u = sample_expression(quad, g)
+    for node, value in spikes.items():
+        u.values[node] = value
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        d = run_diagnostics(u, prob)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert d.all_ok() is False
 
 
