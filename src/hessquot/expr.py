@@ -18,7 +18,10 @@ linearization needs C^1 data, and excluding non-smooth primitives keeps
 differentiation total.
 
 Trees are immutable; evaluation is pure and accepts numpy arrays in the
-environment, broadcasting elementwise.
+environment, broadcasting elementwise.  A domain fault or a NaN value
+raises DomainFaultError; evaluation never returns NaN.  Problem data
+reaches the solver through ``evaluate_batch``, one float per point of a
+batch.
 """
 
 import re
@@ -49,8 +52,9 @@ class UnknownIdentifierError(ParseError):
 
 class DomainFaultError(ExprError):
     """Evaluation hit a domain fault (log of a non-positive value, square
-    root of a negative, division by zero, fractional power of a negative).
-    Carries the offending subexpression and a witnessing value."""
+    root of a negative, division by zero, fractional power of a negative)
+    or gave NaN (say 0*inf or inf - inf).  Carries the offending
+    subexpression, the whole tree for a NaN, and a witnessing value."""
 
     def __init__(self, message, subexpr, value):
         self.subexpr = subexpr
@@ -270,10 +274,21 @@ def evaluate(e, env):
     """Evaluate a tree at an environment; IEEE double, arrays broadcast.
 
     Domain faults are raised as DomainFaultError with the offending
-    subexpression attached, never returned silently as NaN.
+    subexpression attached, and a NaN value as DomainFaultError naming the
+    tree: no NaN is ever returned.  Overflow to +-inf is returned.
     """
     with np.errstate(all="ignore"):
-        return _eval(e, env)
+        value = _eval(e, env)
+    if np.isnan(value).any():
+        raise DomainFaultError("NaN value", e, np.nan)
+    return value
+
+
+def evaluate_batch(e, env):
+    """``evaluate`` at the batch of points env.x (count, n): a float array
+    of shape (count,), read-only, also for a tree that reads no batched
+    variable."""
+    return np.broadcast_to(evaluate(e, env), env.x.shape[:1])
 
 
 def _eval(e, env):

@@ -16,6 +16,11 @@ indices and the data slot of every stencil offset at every node);
 assembly accumulates per-offset weight arrays and fills the matrix data
 with one gather through that pattern.
 
+Problem expressions are sampled through ``expr.evaluate_batch``: at
+every node by ``sample_expression``, and with exact symbolic first and
+second derivatives at given points (the interior nodes) by
+``exact_derivatives``, the one exact sampler.
+
 The operator kernel, ``hessian_fields``, is total: on any Hessian stack
 it returns the operator fields or raises NotAdmissibleError at the first
 node outside the cone, also where tau*tr(H)*I - H is not finite.  Stencils
@@ -83,12 +88,9 @@ class Grid:
     def num_interior(self):
         return (self.res - 2) ** self.n
 
-    def axis_coords(self, i):
-        return np.linspace(self.lo[i], self.hi[i], self.res)
-
     def coords(self):
         """Coordinates of every node, shape grid.shape + (n,)."""
-        axes = [self.axis_coords(i) for i in range(self.n)]
+        axes = [np.linspace(a, b, self.res) for a, b in zip(self.lo, self.hi)]
         return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
     def interior_coords(self):
@@ -111,11 +113,6 @@ class Grid:
     def interior_node(self, row):
         """Grid multi-index of the interior node in row-major row ``row``."""
         return tuple(int(i) + 1 for i in np.unravel_index(row, self.interior_shape))
-
-    def node_coord(self, node):
-        return np.array(
-            [self.lo[a] + self.h[a] * node[a] for a in range(self.n)]
-        )
 
     @cached_property
     def coarse(self):
@@ -285,9 +282,8 @@ class SparseSystem:
 
 def sample_expression(e, grid):
     """Evaluate an expression of x at every node."""
-    coords = grid.coords().reshape(-1, grid.n)
-    env = expr_mod.EvalEnv(x=coords)
-    values = np.broadcast_to(expr_mod.evaluate(e, env), (coords.shape[0],))
+    env = expr_mod.EvalEnv(x=grid.coords().reshape(-1, grid.n))
+    values = expr_mod.evaluate_batch(e, env)
     return GridFunction(grid, values.reshape(grid.shape).copy())
 
 
@@ -427,10 +423,10 @@ def sigma_tensors(H, spec):
     grads = [np.zeros_like(eye), eye]
     M = U  # U T_{j-1}
     for j in range(1, spec.k + 1):
-        tables[:, j] = np.trace(M, axis1=-2, axis2=-1) / j
+        tables[:, j] = np.einsum("...ii->...", M) / j
         big = ~np.isfinite(tables[:, j])
         if big.any():
-            tables[big, j] = np.trace(M[big] / j, axis1=-2, axis2=-1)
+            tables[big, j] = np.einsum("...ii->...", M[big] / j)
         if j < spec.k:
             grads.append(tables[:, j, None, None] * eye - M)
             M = U @ grads[-1]
@@ -526,10 +522,9 @@ def assemble_jacobian(u, prob, t, psi0=None, state=None):
         add(Q[:, a, b] if a == b else 2.0 * Q[:, a, b], stencil)
     if t != 0.0:
         W[pattern.slot[(0,) * grid.n]] -= t * fields.psi_z
-        if np.any(np.asarray(fields.psi_p) != 0.0):
-            psi_p = np.broadcast_to(fields.psi_p, (nint, grid.n))
+        if fields.psi_p.any():
             for a, stencil in enumerate(grid.stencils.gradient):
-                add(-t * psi_p[:, a], stencil)
+                add(-t * fields.psi_p[:, a], stencil)
 
     matrix = sparse.csr_matrix(
         (W.reshape(-1)[pattern.gather], pattern.indices, pattern.indptr),
@@ -538,30 +533,22 @@ def assemble_jacobian(u, prob, t, psi0=None, state=None):
     return SparseSystem(matrix=matrix, rhs=-r, grid=grid)
 
 
-def exact_interior_gradients(e, grid):
-    """Symbolic gradient of an expression of x, sampled at interior nodes."""
-    x = grid.interior_coords()
+def exact_derivatives(e, x):
+    """Symbolic gradient (N, n) and Hessian (N, n, n) of an expression of
+    x, sampled at the points x (N, n), such as ``Grid.interior_coords()``.
+    Each first derivative is built once and differentiated again for its
+    Hessian row."""
     env = expr_mod.EvalEnv(x=x)
-    cols = []
-    for a in range(grid.n):
-        d = expr_mod.differentiate(e, f"x{a + 1}")
-        cols.append(np.broadcast_to(expr_mod.evaluate(d, env), (x.shape[0],)))
-    return np.stack(cols, axis=-1)
-
-
-def exact_interior_hessians(e, grid):
-    """Symbolic Hessian of an expression of x, sampled at interior nodes."""
-    x = grid.interior_coords()
-    env = expr_mod.EvalEnv(x=x)
-    n = grid.n
-    H = np.empty((x.shape[0], n, n))
+    n = x.shape[1]
+    P = np.empty(x.shape)
+    H = np.empty(x.shape + (n,))
     for a in range(n):
         da = expr_mod.differentiate(e, f"x{a + 1}")
+        P[:, a] = expr_mod.evaluate_batch(da, env)
         for b in range(a, n):
             dab = expr_mod.differentiate(da, f"x{b + 1}")
-            vals = np.broadcast_to(expr_mod.evaluate(dab, env), (x.shape[0],))
-            H[:, a, b] = H[:, b, a] = vals
-    return H
+            H[:, a, b] = H[:, b, a] = expr_mod.evaluate_batch(dab, env)
+    return P, H
 
 
 def csv_lines(u):

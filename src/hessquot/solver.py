@@ -69,8 +69,8 @@ class NewtonParams:
     max_iters: int = 50
 
     def __post_init__(self):
-        # written so that NaN fails: Newton stops once `rinf > tol` is
-        # false, which a NaN tolerance makes true of every start
+        # written so that NaN fails: Newton stops once `rinf <= tol`,
+        # which a NaN tolerance never makes true
         if not (0.0 < self.tol_residual < math.inf):
             raise ValueError(
                 f"tol_residual must be finite and > 0, got {self.tol_residual}"
@@ -97,7 +97,7 @@ class PsiField:
     Used by manufactured problems, where the forcing comes from composing
     the operator with exact second derivatives and has no closed form in
     the expression grammar.  It carries no u or gradient dependence, so
-    its partials are identically zero.
+    its partials are zero arrays.
     """
 
     def __init__(self, values):
@@ -108,7 +108,7 @@ class PsiField:
     def terms(self, x, u, p):
         if self.values.shape[0] != x.shape[0]:
             raise ValueError("field forcing length does not match interior size")
-        return self.values, 0.0, 0.0
+        return self.values, np.zeros(x.shape[0]), np.zeros(x.shape)
 
 
 @dataclass
@@ -157,21 +157,18 @@ class ProblemSpec:
         return q.n == 2 and (q.k, q.l) == (2, 0)
 
     def psi_terms(self, x, u, p):
-        """(psi, d psi/du, d psi/dp) evaluated at batched states."""
+        """(psi, d psi/du, d psi/dp) at N states x (N, n), u (N,), p (N, n).
+
+        The shapes are (N,), (N,) and (N, n), for an expression and a
+        PsiField alike; an expression that faults or gives NaN raises
+        DomainFaultError."""
         if self.field_psi:
             return self.psi.terms(x, u, p)
         env = expr_mod.EvalEnv(x=x, u=u, p=p)
-        count = x.shape[0]
-        psi = np.broadcast_to(expr_mod.evaluate(self.psi, env), (count,))
-        psi_z = np.broadcast_to(expr_mod.evaluate(self._psi_z, env), (count,))
-        psi_p = np.stack(
-            [
-                np.broadcast_to(expr_mod.evaluate(d, env), (count,))
-                for d in self._psi_p
-            ],
-            axis=-1,
+        psi, psi_z, *psi_p = (
+            expr_mod.evaluate_batch(d, env) for d in (self.psi, self._psi_z, *self._psi_p)
         )
-        return psi, psi_z, psi_p
+        return psi, psi_z, np.stack(psi_p, axis=-1)
 
 
 @dataclass
@@ -221,9 +218,11 @@ def validate_problem(prob):
     """Load-time invariants; returns warning strings for the report.
 
     Hard failures (non-finite data, boundary mismatch, inadmissible or
-    insufficient subsolution) raise ProblemSpecError.  Positivity of psi and
-    of its u-derivative are probed at the subsolution state and demoted to
-    warnings, since enforcing them would bar exploratory inputs.
+    insufficient subsolution) raise ProblemSpecError; psi or an exact
+    derivative that faults or gives NaN raises DomainFaultError.
+    Positivity of psi and of its u-derivative are probed at the
+    subsolution state and demoted to warnings, since enforcing them would
+    bar exploratory inputs.
     """
     g = prob.grid
     warnings_out = []
@@ -239,7 +238,8 @@ def validate_problem(prob):
     # exact symbolic derivatives of the subsolution, not stencils: the
     # inequality is a statement about the function, and stencil error
     # would swamp the 1e-8 slack on coarse grids
-    H = grid_mod.exact_interior_hessians(prob.subsolution, g)
+    x = g.interior_coords()
+    pb, H = grid_mod.exact_derivatives(prob.subsolution, x)
     try:
         fvals = grid_mod.hessian_fields(H, g, prob.quotient).values
     except NotAdmissibleError as err:
@@ -247,10 +247,7 @@ def validate_problem(prob):
             f"subsolution is not admissible at node {err.node} ({err.reason})"
         ) from err
 
-    x = g.interior_coords()
-    ub = sub_gf.interior()
-    pb = grid_mod.exact_interior_gradients(prob.subsolution, g)
-    psi, psi_z, _ = prob.psi_terms(x, ub, pb)
+    psi, psi_z, _ = prob.psi_terms(x, sub_gf.interior(), pb)
     deficit = np.min(fvals - psi)
     if deficit < -1e-8:
         node = g.interior_node(int(np.argmin(fvals - psi)))
@@ -258,9 +255,9 @@ def validate_problem(prob):
             f"subsolution inequality fails by {-deficit:.3e} at node {node}"
         )
 
-    if np.min(np.broadcast_to(psi, ub.shape)) <= 0.0:
+    if np.min(psi) <= 0.0:
         warnings_out.append("psi is not strictly positive at the subsolution state")
-    if not prob.field_psi and np.min(np.broadcast_to(psi_z, ub.shape)) <= 0.0:
+    if not prob.field_psi and np.min(psi_z) <= 0.0:
         warnings_out.append(
             "psi_z is not strictly positive; comparison-principle diagnostic "
             "will be skipped"
@@ -370,18 +367,19 @@ def _newton(u, t, prob, psi0):
     Accepts the largest step s in {1, 1/2, 1/4, ...} that keeps every
     interior node admissible and shrinks the residual infinity norm by the
     factor (1 - s/4); stops once the norm reaches the tolerance.  A start
-    that is not admissible, or where psi faults, raises that error.
+    that is not admissible, or where psi faults, raises that error, and a
+    NaN residual ends the stage as NewtonDivergenceError.
     """
     tol = prob.newton.tol_residual
     r, fields = _residual_state(u, prob, t, psi0)
     rinf = float(np.abs(r).max())
     log.info("stage t=%.6g residual_inf=%.6e", t, rinf)
     iters = 0
-    while rinf > tol:
-        if iters >= prob.newton.max_iters:
+    while not rinf <= tol:  # a NaN residual is never converged
+        if iters >= prob.newton.max_iters or math.isnan(rinf):
             raise NewtonDivergenceError(
                 f"stage t={t:g} still at residual {rinf:.3e} after "
-                f"{prob.newton.max_iters} iterations",
+                f"{iters} iterations",
                 iterate=u,
             )
         # the state is already at hand: assembly evaluates nothing at u

@@ -56,7 +56,7 @@ def eta_transform(A, tau):
     if not tau >= 1.0:
         raise ValueError(f"tau must be >= 1, got {tau}")
     n = A.shape[-1]
-    tr = np.trace(A, axis1=-2, axis2=-1)
+    tr = np.einsum("...ii->...", A)
     return tau * tr[..., None, None] * np.eye(n) - A
 
 

@@ -66,7 +66,7 @@ def manufactured_problem(ustar, grid, spec, subsolution=None):
     different ``subsolution`` expression starts the continuation elsewhere
     on the same problem.  Returns the problem and the exact nodal values.
     """
-    H = grid_mod.exact_interior_hessians(ustar, grid)
+    _, H = grid_mod.exact_derivatives(ustar, grid.interior_coords())
     psi = PsiField(grid_mod.hessian_fields(H, grid, spec).values)
     prob = ProblemSpec(
         grid=grid,
@@ -166,9 +166,7 @@ def run_diagnostics(u, prob):
     spec = prob.quotient
     uinf = float(np.abs(u.values).max())
 
-    phi_gf = grid_mod.sample_expression(prob.phi, g)
-    bmask = g.boundary_mask()
-    bmax = float(phi_gf.values[bmask].max())
+    bmax = float(u.values[g.boundary_mask()].max())
     worst_flat = int(np.argmax(u.values))
     worst = tuple(int(i) for i in np.unravel_index(worst_flat, g.shape))
     excess = float(u.values.max() - bmax)
@@ -181,21 +179,18 @@ def run_diagnostics(u, prob):
     marg_row = int(np.argmin(margins))
 
     with np.errstate(invalid="ignore"):  # +inf and -inf on one diagonal
-        lap = np.trace(H, axis1=-2, axis2=-1)
+        lap = np.einsum("...ii->...", H)
     lap_row = int(np.argmin(lap))
 
-    x = g.interior_coords()
-    uvals = u.interior()
     p = grid_mod.interior_gradients(u.values, g)
-    psi, psi_z, _ = prob.psi_terms(x, uvals, p)
-    psi = np.broadcast_to(psi, uvals.shape)
+    psi, psi_z, _ = prob.psi_terms(g.interior_coords(), u.interior(), p)
     psi_row = int(np.argmin(psi))
     psi_min = float(psi[psi_row])
 
     if prob.field_psi:
         psi_z_positive = None
     else:
-        psi_z_positive = bool(np.min(np.broadcast_to(psi_z, uvals.shape)) > 0.0)
+        psi_z_positive = bool(np.min(psi_z) > 0.0)
 
     if psi_z_positive:
         sub_gf = grid_mod.sample_expression(prob.subsolution, g)

@@ -217,9 +217,12 @@ def test_non_finite_problem_data_exit_64(tmp_path, capsys, extra):
          "not admissible at node (1, 1, 1): tau*tr(H)*I - H is not finite"),
         ({"mode": "manufactured", "subsolution": f"{QUAD} + 1e-300*exp(710*x1)"},
          "phi cannot be sampled on the grid"),
+        ({"psi": f"sqrt(4/3) + 0.5*(u - {QUAD}) + 0*exp(1000*u)"},
+         "NaN value in '((sqrt((4.0/3.0))+(0.5*(u-((((x1^2.0)+(x2^2.0))+(x3^2.0))/2.0))))"
+         "+(0.0*exp((1000.0*u))))'"),
     ],
     ids=["phi", "tau", "sigma", "sigma-k2", "sigma-manufactured",
-         "manufactured-hessian", "manufactured-sample"],
+         "manufactured-hessian", "manufactured-sample", "psi-nan"],
 )
 def test_overflowing_problem_data_exit_64(tmp_path, capsys, extra, named):
     # finite inputs whose samples or transformed Hessians overflow ended in
@@ -229,7 +232,9 @@ def test_overflowing_problem_data_exit_64(tmp_path, capsys, extra, named):
     # failed the first kernel call of the solve as sigma_2 <= 0; the numpy
     # over/invalid warnings of the sigma recurrences reached stderr; in
     # manufactured mode a non-finite exact Hessian or sample ended in an
-    # uncaught ValueError, exit 1
+    # uncaught ValueError, exit 1; a psi that is NaN where exp overflows
+    # (0*inf) passed validation, and every stage "converged" after 0
+    # Newton iterations at residual NaN, exit 2
     path = _write(tmp_path, "f.cfg", _base_config(tmp_path, **extra))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -89,6 +89,8 @@ def test_domain_faults():
         evaluate(parse("1/x1", 1), EvalEnv(x=[0.0]))
     with pytest.raises(DomainFaultError):
         evaluate(parse("x1^0.5", 1), EvalEnv(x=[-2.0]))
+    with pytest.raises(DomainFaultError, match="NaN value"):  # 0 * inf
+        evaluate(parse("0*exp(1000*x1)", 1), EvalEnv(x=[1.0]))
     err = None
     try:
         evaluate(parse("2 + log(1 - x1)", 1), EvalEnv(x=[1.0]))

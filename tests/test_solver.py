@@ -1,4 +1,5 @@
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -442,6 +443,50 @@ def test_homotopy_rhs_field_is_the_solvers_t0_forcing(monkeypatch):
     start, psi0 = calls[0]  # the first attempt starts on the start iterate
     assert homotopy_rhs_field(prob).tobytes() == psi0.tobytes()
     assert np.array_equal(newton_stage(start, 0.0, prob).values, start.values)
+
+
+def test_validate_builds_each_exact_derivative_once(monkeypatch):
+    # 3 first and 6 second derivatives of the subsolution; the gradient
+    # and Hessian samplers each built the first ones, 12 calls in all
+    prob = _quad_problem(f"{QUAD} - 0.4*{BUMP}")
+    calls = []
+    differentiate = expr_mod.differentiate
+
+    def count(e, var):
+        calls.append(var)
+        return differentiate(e, var)
+
+    monkeypatch.setattr(expr_mod, "differentiate", count)
+    validate_problem(prob)
+    assert len(calls) == 9
+
+
+def test_validate_rejects_a_nan_forcing():
+    # 0*exp(1000*u) is NaN where exp overflows; every comparison with NaN
+    # is false, so validation passed
+    prob = replace(
+        _quad_problem(f"{QUAD} - 0.4*{BUMP}"),
+        psi=expr_mod.parse(f"sqrt(4/3) + 0.5*(u - {QUAD}) + 0*exp(1000*u)", 3),
+    )
+    with pytest.raises(expr_mod.DomainFaultError, match="NaN value"):
+        validate_problem(prob)
+
+
+def test_nan_start_residual_ends_the_stage(monkeypatch):
+    # `while rinf > tol` is false for NaN, so a stage that started at
+    # residual NaN returned its start and a record after 0 iterations
+    prob = _quad_problem(f"{QUAD} - 0.4*{BUMP}")
+    u, psi0 = solver_mod._start(prob), homotopy_rhs_field(prob)
+    state = solver_mod._residual_state
+
+    def nan_residual(*args):
+        r, fields = state(*args)
+        return np.full_like(r, np.nan), fields
+
+    monkeypatch.setattr(solver_mod, "_residual_state", nan_residual)
+    with pytest.raises(NewtonDivergenceError) as err:
+        solver_mod._newton(u, 0.5, prob, psi0)
+    assert err.value.iterate is u
 
 
 def test_line_search_halves_an_overflowing_trial(monkeypatch):
