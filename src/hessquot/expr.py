@@ -334,6 +334,8 @@ def _eval(e, env):
 def _pow(node, base, exponent):
     base_a = np.asarray(base, dtype=float)
     exp_a = np.asarray(exponent, dtype=float)
+    if np.isnan(base_a).any() or np.isnan(exp_a).any():  # NaN^0 and 1^NaN are 1
+        raise DomainFaultError("NaN value", node, np.nan)
     frac = exp_a != np.floor(exp_a)
     bad = (base_a < 0.0) & frac
     if np.any(bad):

@@ -116,13 +116,11 @@ class Grid:
 
     @cached_property
     def coarse(self):
-        """The grid of every other node, (res + 1) / 2 per axis, or None
-        when res - 1 is odd or that grid would have fewer than 13 nodes
-        per axis.  Cached, so its own cached data outlives a solve."""
-        res = (self.res + 1) // 2
-        if (self.res - 1) % 2 or res < 13:
-            return None
-        return replace(self, res=res)
+        """The grid of the same box with res // 2 + 1 nodes per axis (every
+        other node when res is odd), or None when that is fewer than 13.
+        Cached, so its own cached data outlives a solve."""
+        res = self.res // 2 + 1
+        return replace(self, res=res) if res >= 13 else None
 
     @cached_property
     def stencils(self):

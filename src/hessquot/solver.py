@@ -23,13 +23,13 @@ halves, and the next attempt starts on a shorter prediction.
 That walk is needed once, on the coarsest grid (grid sequencing, or
 nested iteration: Newton iteration counts are asymptotically
 mesh-independent, Allgower, Boehmer, Potra & Rheinboldt, SIAM J. Numer.
-Anal. 1986).  ``Grid.coarse`` is the grid of every other node while that
-grid keeps at least 13 nodes per axis; the continuation runs on the
-coarsest grid of that chain, and each finer grid runs one Newton solve at
-t = 1 from the interpolated (per-axis cubic, boundary reset to phi)
-solution of the grid below.  Any failure on the way up makes the solver
-walk the continuation once more, from the subsolution on the target grid,
-so a failed solve always reports an iterate on the target grid.
+Anal. 1986).  ``Grid.coarse`` has res // 2 + 1 nodes per axis while that
+is at least 13 (a subset of the nodes only for odd res); the continuation
+runs on the coarsest grid of that chain, and each finer grid runs one
+Newton solve at t = 1 from the ``_transfer`` of the solution below,
+boundary reset to phi.  Any failure on the way up makes the solver walk
+the continuation once more, from the subsolution on the target grid, so
+a failed solve always reports an iterate on the target grid.
 """
 
 import logging
@@ -217,8 +217,8 @@ def _sample_data(prob, name):
 def validate_problem(prob):
     """Load-time invariants; returns warning strings for the report.
 
-    Hard failures (non-finite data, boundary mismatch, inadmissible or
-    insufficient subsolution) raise ProblemSpecError; psi or an exact
+    Hard failures (non-finite data or psi, boundary mismatch, inadmissible
+    or insufficient subsolution) raise ProblemSpecError; psi or an exact
     derivative that faults or gives NaN raises DomainFaultError.
     Positivity of psi and of its u-derivative are probed at the
     subsolution state and demoted to warnings, since enforcing them would
@@ -248,6 +248,12 @@ def validate_problem(prob):
         ) from err
 
     psi, psi_z, _ = prob.psi_terms(x, sub_gf.interior(), pb)
+    # the checks below pass a NaN (every comparison is false) and a -inf
+    if not np.all(np.isfinite(psi)):
+        row = int(np.argmin(np.isfinite(psi)))
+        raise ProblemSpecError(
+            f"psi is {psi[row]} at the subsolution state at node {g.interior_node(row)}"
+        )
     deficit = np.min(fvals - psi)
     if deficit < -1e-8:
         node = g.interior_node(int(np.argmin(fvals - psi)))
@@ -493,31 +499,33 @@ def _continuation(prob, stages):
 
 
 def _coarse_problem(prob):
-    """prob on prob.grid.coarse, or None where the grid has none.  Coarse
-    nodes are fine nodes, so a field forcing restricts by injection."""
+    """prob on prob.grid.coarse, or None where the grid has none; a field
+    forcing is transferred to the coarse interior."""
     g = prob.grid
     if g.coarse is None:
         return None
     psi = prob.psi
-    if prob.field_psi:  # read at the fine rows of the coarse interior nodes
-        psi = PsiField(psi.values[g.rows[(slice(2, -2, 2),) * g.n].reshape(-1)])
+    if prob.field_psi:
+        psi = PsiField(_transfer(psi.values.reshape(g.interior_shape), g.coarse.res, 1).ravel())
     return replace(prob, grid=g.coarse, psi=psi)
 
 
-def _prolong(values):
-    """Nodal values interpolated to the grid with half the spacing.
+def _transfer(values, res, inner=0):
+    """Nodal values of a box grid, less ``inner`` node layers at both ends
+    of each axis, interpolated to the same nodes of the grid of that box
+    with res nodes per axis.
 
-    One axis at a time: coarse nodes keep their values, and each new
-    midpoint takes the cubic (-1, 9, 9, -1)/16 of its four neighbours on
-    the axis, or the one-sided (5, 15, -5, 1)/16 next to the boundary.
-    """
+    Per axis, each node takes the cubic through the four nearest source
+    nodes (one-sided at the ends) at its fractional source index, so a
+    node of both grids has the weights (0, 1, 0, 0) and keeps its value."""
     for axis in range(values.ndim):
         v = np.moveaxis(values, axis, 0)
-        out = np.empty((2 * v.shape[0] - 1,) + v.shape[1:])
-        out[0::2] = v
-        out[3:-3:2] = (9.0 * (v[1:-2] + v[2:-1]) - (v[:-3] + v[3:])) / 16.0
-        out[1] = (5.0 * v[0] + 15.0 * v[1] - 5.0 * v[2] + v[3]) / 16.0
-        out[-2] = (5.0 * v[-1] + 15.0 * v[-2] - 5.0 * v[-3] + v[-4]) / 16.0
+        s = np.arange(inner, res - inner) * (v.shape[0] + 2 * inner - 1) / (res - 1) - inner
+        j = np.clip(np.floor(s).astype(int) - 1, 0, v.shape[0] - 4)
+        # Lagrange weights of the source nodes j .. j + 3 at x
+        x = (s - j).reshape((-1,) + (1,) * (v.ndim - 1))
+        out = (-(x - 1) * (x - 2) * (x - 3) / 6 * v[j] + x * (x - 2) * (x - 3) / 2 * v[j + 1]
+               - x * (x - 1) * (x - 3) / 2 * v[j + 2] + x * (x - 1) * (x - 2) / 6 * v[j + 3])
         values = np.moveaxis(out, 0, axis)
     return values
 
@@ -527,7 +535,7 @@ def _solve_levels(prob, stages, levels):
     of every Newton solve and to ``levels`` one record per solved level.
 
     The continuation runs on the coarsest problem of the chain; each finer
-    level starts Newton at t = 1 from the prolonged solution of the level
+    level starts Newton at t = 1 from the transferred solution of the level
     below, its boundary reset to phi.  Any failure on the way up, a start
     that is not admissible or where psi faults included, is followed by
     one continuation from the subsolution on the target grid.  With a
@@ -541,7 +549,7 @@ def _solve_levels(prob, stages, levels):
         levels.append(LevelRecord(chain[-1].grid.res))
         for fine in reversed(chain[:-1]):
             log.info("level res=%d starts from the res=%d solution", fine.grid.res, u.grid.res)
-            u0 = _with_boundary_data(_prolong(u.values), fine)
+            u0 = _with_boundary_data(_transfer(u.values, fine.grid.res), fine)
             # at t = 1 the t = 0 forcing carries no weight
             u, record = _newton(u0, 1.0, fine, 0.0)
             stages.append(record)
@@ -562,7 +570,7 @@ def solve_dirichlet(prob):
 
     The continuation (see _continuation) runs on the coarsest level, the
     last grid of the chain prob.grid, prob.grid.coarse, ...  Each finer
-    level runs Newton at t = 1 from the cubic prolongation of the level
+    level runs Newton at t = 1 from the cubic ``_transfer`` of the level
     below.  When any of that fails, the continuation runs once more on the
     target grid, from the subsolution.  Problems validate and solutions
     are diagnosed on the target grid only.

@@ -220,9 +220,11 @@ def test_non_finite_problem_data_exit_64(tmp_path, capsys, extra):
         ({"psi": f"sqrt(4/3) + 0.5*(u - {QUAD}) + 0*exp(1000*u)"},
          "NaN value in '((sqrt((4.0/3.0))+(0.5*(u-((((x1^2.0)+(x2^2.0))+(x3^2.0))/2.0))))"
          "+(0.0*exp((1000.0*u))))'"),
+        ({"psi": "sqrt(4/3) - exp(1000*x1)"},
+         "psi is -inf at the subsolution state at node (5, 1, 1)"),
     ],
     ids=["phi", "tau", "sigma", "sigma-k2", "sigma-manufactured",
-         "manufactured-hessian", "manufactured-sample", "psi-nan"],
+         "manufactured-hessian", "manufactured-sample", "psi-nan", "psi-neg-inf"],
 )
 def test_overflowing_problem_data_exit_64(tmp_path, capsys, extra, named):
     # finite inputs whose samples or transformed Hessians overflow ended in
@@ -234,7 +236,9 @@ def test_overflowing_problem_data_exit_64(tmp_path, capsys, extra, named):
     # manufactured mode a non-finite exact Hessian or sample ended in an
     # uncaught ValueError, exit 1; a psi that is NaN where exp overflows
     # (0*inf) passed validation, and every stage "converged" after 0
-    # Newton iterations at residual NaN, exit 2
+    # Newton iterations at residual NaN, exit 2; a psi that is -inf where
+    # exp overflows passed validation with warnings and the solve failed,
+    # exit 1, after numpy over/invalid warnings
     path = _write(tmp_path, "f.cfg", _base_config(tmp_path, **extra))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -472,6 +472,21 @@ def test_validate_rejects_a_nan_forcing():
         validate_problem(prob)
 
 
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_validate_rejects_a_non_finite_field_forcing(bad):
+    # both checks read false on NaN, and fvals - (-inf) passes the
+    # inequality, so such a forcing passed and the solve stalled
+    prob, _ = manufactured_problem(
+        expr_mod.parse(SMOOTH3, 3), _grid3(9), QuotientSpec(3, 3, 1),
+        subsolution=expr_mod.parse(f"{SMOOTH3} - 0.55*{BUMP}", 3),
+    )
+    values = prob.psi.values.copy()
+    values[prob.grid.rows[2, 3, 4]] = bad
+    prob.psi = solver_mod.PsiField(values)
+    with pytest.raises(ProblemSpecError, match=r"psi is .* at node \(2, 3, 4\)"):
+        validate_problem(prob)
+
+
 def test_nan_start_residual_ends_the_stage(monkeypatch):
     # `while rinf > tol` is false for NaN, so a stage that started at
     # residual NaN returned its start and a record after 0 iterations
@@ -715,10 +730,10 @@ def _newton_failing_on(res):
 
 
 @pytest.mark.parametrize(
-    "res, coarse", [(97, 49), (25, 13), (24, None), (23, None), (21, None)]
+    "res, coarse", [(97, 49), (25, 13), (24, 13), (23, None), (21, None)]
 )
 def test_coarse_level_condition(res, coarse):
-    # res - 1 even and (res + 1) / 2 >= 13
+    # res // 2 + 1 >= 13, at any parity
     found = solver_mod._coarse_problem(_continuation2d(res))
     assert (None if found is None else found.grid.res) == coarse
 
@@ -735,8 +750,23 @@ def test_prolongation_is_exact_on_per_axis_cubics(ustar, lo, hi):
     e = expr_mod.parse(ustar, n)
     coarse = sample_expression(e, Grid(n=n, lo=lo, hi=hi, res=13))
     fine = sample_expression(e, Grid(n=n, lo=lo, hi=hi, res=25))
-    out = solver_mod._prolong(coarse.values)
+    out = solver_mod._transfer(coarse.values, 25)
     assert np.abs(out - fine.values).max() <= 1e-13 * np.abs(fine.values).max()
+
+
+def test_nested_transfer_has_the_midpoint_stencils():
+    # the 13 -> 25 matrix, one column per coarse unit vector (read along an
+    # axis where it is constant): coarse nodes keep their values, and each
+    # midpoint takes the cubic (-1, 9, 9, -1)/16 of its four neighbours, or
+    # the one-sided (5, 15, -5, 1)/16 next to the boundary
+    expected = np.zeros((25, 13))
+    expected[::2] = np.eye(13)
+    for i in range(1, 11):
+        expected[2 * i + 1, i - 1:i + 3] = np.array([-1, 9, 9, -1]) / 16
+    expected[1, :4] = np.array([5, 15, -5, 1]) / 16
+    expected[-2, -4:] = np.array([1, -5, 15, 5]) / 16
+    columns = [solver_mod._transfer(np.outer(e, np.ones(13)), 25)[:, 0] for e in np.eye(13)]
+    assert np.array_equal(np.stack(columns, axis=1), expected)
 
 
 @pytest.mark.parametrize(
@@ -751,6 +781,9 @@ def test_field_forcing_restricts_by_injection(n, res, spec):
     direct, _ = manufactured_problem(ustar, coarse.grid, spec)
     assert coarse.grid == Grid(res=(res + 1) // 2, **box)
     np.testing.assert_allclose(coarse.psi.values, direct.psi.values, rtol=1e-14, atol=0)
+    # at odd res the transfer is the injection at every other fine node, bit for bit
+    injected = fine.psi.values[fine.grid.rows[(slice(2, -2, 2),) * n].reshape(-1)]
+    assert np.array_equal(coarse.psi.values, injected)
 
 
 def test_sequenced_solve_matches_single_grid_2d():
@@ -777,11 +810,62 @@ def test_sequenced_solve_matches_single_grid_3d(k, l):
     assert _levels(report) == [(13, None), (25, None)]
 
 
+@pytest.mark.parametrize(
+    "res_from, res_to, inner",
+    [(13, 24, 0), (14, 26, 0), (25, 13, 1), (26, 14, 1)],
+    ids=["up-13-24", "up-14-26", "down-nested", "down-26-14"],
+)
+@pytest.mark.parametrize("ustar, lo, hi", [
+    ("x1^3 - 2*x1^2*x2 + x2^3 + x1*x2", (0, 0), (1, 1)),
+    ("x1^3*x2^2*x3 - x2^3 + x1*x3^2", (-1, 0, 0.5), (1, 2, 1)),
+])
+def test_transfer_is_exact_on_per_axis_cubics(ustar, lo, hi, res_from, res_to, inner):
+    # coarse to fine on every node (the nested step is the test above), and
+    # fine interior to coarse interior, across nested and non-nested steps
+    n = len(lo)
+    e = expr_mod.parse(ustar, n)
+    src, dst = (sample_expression(e, Grid(n=n, lo=lo, hi=hi, res=r)).values
+                for r in (res_from, res_to))
+    core = (slice(inner, res_to - inner),) * n
+    out = solver_mod._transfer(src[(slice(inner, res_from - inner),) * n], res_to, inner)
+    assert np.abs(out - dst[core]).max() <= 1e-13 * np.abs(dst).max()
+
+
+@pytest.mark.parametrize("make, levels", [
+    (lambda: _continuation2d(24), [(13, None), (24, None)]),
+    (lambda: manufactured_problem(
+        expr_mod.parse(SMOOTH3, 3), _grid3(26), QuotientSpec(3, 3, 1),
+        subsolution=expr_mod.parse(f"{SMOOTH3} - 0.55*{BUMP}", 3),
+    )[0], [(14, None), (26, None)]),
+], ids=["2d-24", "3d-26"])
+def test_even_resolution_is_sequenced_to_the_single_grid_answer(make, levels):
+    # 24 -> 13 and 26 -> 14 are non-nested steps
+    prob = make()
+    u, report = solve_dirichlet(prob)
+    ref, _ = _solve_single_grid(prob)
+    assert np.abs(u.values - ref.values).max() <= 1e-10
+    assert _levels(report) == levels
+    assert {s.res for s in report.stages if s.t < 1.0} == {levels[0][0]}
+
+
+def test_failure_at_even_resolution_carries_target_iterate(monkeypatch):
+    # Newton fails on the target grid from the transferred start and on
+    # every stage of the fallback continuation
+    prob = _continuation2d(24)
+    monkeypatch.setattr(solver_mod, "_newton", _newton_failing_on(24))
+    with pytest.raises(HomotopyStallError) as err:
+        solve_dirichlet(prob)
+    assert err.value.iterate.grid == prob.grid
+    report = err.value.report
+    assert _levels(report) == [(13, None), (24, "NewtonDivergenceError")]
+    assert report.stages[-1].res == 24
+
+
 def test_inadmissible_prolongation_falls_back(monkeypatch):
     prob = _continuation2d(25)
-    real = solver_mod._prolong
+    real = solver_mod._transfer
     # the negated convex solution leaves the cone at every interior node
-    monkeypatch.setattr(solver_mod, "_prolong", lambda values: -real(values))
+    monkeypatch.setattr(solver_mod, "_transfer", lambda values, res: -real(values, res))
     u, report = solve_dirichlet(prob)
     assert report.converged
     assert report.as_dict()["levels"] == [
