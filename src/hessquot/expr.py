@@ -332,6 +332,10 @@ def _eval(e, env):
 
 
 def _pow(node, base, exponent):
+    if np.ndim(exponent) == 0 and exponent >= 1.0 and float(exponent).is_integer():
+        # defined for every base, and a NaN base stays NaN for evaluate's
+        # NaN rule: no per-node check
+        return np.power(base, exponent)
     base_a = np.asarray(base, dtype=float)
     exp_a = np.asarray(exponent, dtype=float)
     if np.isnan(base_a).any() or np.isnan(exp_a).any():  # NaN^0 and 1^NaN are 1

@@ -21,10 +21,19 @@ every node by ``sample_expression``, and with exact symbolic first and
 second derivatives at given points (the interior nodes) by
 ``exact_derivatives``, the one exact sampler.
 
-The operator kernel, ``hessian_fields``, is total: on any Hessian stack
-it returns the operator fields or raises NotAdmissibleError at the first
-node outside the cone, also where tau*tr(H)*I - H is not finite.  Stencils
-and sigma tables pass an overflow on silently, for the cone rule to report.
+Hessians are held as structure of arrays: the n(n+1)/2 unique components
+H_ab, a <= b, each a contiguous length-N row of a (C, N) array, in the
+order of ``_pairs`` (the diagonal first), which is also the key order of
+``Grid.stencils.hessian``.  The operator kernel works on that layout in
+closed form, which n in {2, 3} allows: with U = tau*tr(H)*I - H,
+sigma_1 = tr U, sigma_2 is the sum of the principal 2 x 2 minors and
+sigma_3 = det U; the Newton tensors T_j = d sigma_{j+1} / dU (Reilly
+1973) are T_0 = I, T_1 = sigma_1*I - U and, for n = 3, T_2 = adj U
+(Cayley-Hamilton).  ``operator_tensors`` is the kernel's non-raising
+half.  ``hessian_fields`` is total: on any Hessian components it returns
+the operator fields or raises NotAdmissibleError at the first node outside
+the cone, also where tau*tr(H)*I - H is not finite.  Stencils and sigma
+tables pass an overflow on silently, for the cone rule to report.
 """
 
 import math
@@ -37,14 +46,21 @@ from scipy import sparse
 
 from . import expr as expr_mod
 from . import symfun
-from .spectral import eta_transform, sym_eig
+from .spectral import sym_eig
+
+
+def _pairs(n):
+    """The index pairs (a, b), a <= b, of the unique entries of a symmetric
+    n x n matrix: the diagonal first, then the upper triangle row by row.
+    The component order of every Hessian, U, G and Q in this module."""
+    return [(a, a) for a in range(n)] + [(a, b) for a in range(n) for b in range(a + 1, n)]
 
 
 class Stencils(NamedTuple):
     """Stencils (divisor, [(offset, coefficient), ...]); applied to u at a
     node: sum(coefficient * u[node + offset]), in order, / divisor."""
 
-    hessian: dict  # (a, b), a <= b, diagonal first -> stencil of H_ab
+    hessian: dict  # (a, b) in _pairs order -> stencil of H_ab
     gradient: list  # a -> stencil of du/dx_a
 
 
@@ -94,9 +110,16 @@ class Grid:
         return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
     def interior_coords(self):
-        """Coordinates of interior nodes, row-major, shape (N_int, n)."""
-        core = (slice(1, -1),) * self.n
-        return self.coords()[core].reshape(-1, self.n)
+        """Coordinates of interior nodes, row-major, shape (N_int, n);
+        cached, read-only."""
+        return self._interior_coords
+
+    @cached_property
+    def _interior_coords(self):
+        axes = [np.linspace(a, b, self.res)[1:-1] for a, b in zip(self.lo, self.hi)]
+        x = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, self.n)
+        x.flags.writeable = False
+        return x
 
     @cached_property
     def rows(self):
@@ -133,17 +156,16 @@ class Grid:
                 o[a] = s
             return tuple(o)
 
-        hessian = {
-            (a, a): (h[a] ** 2, [(offset((a, 1)), 1.0), (offset(), -2.0),
-                                 (offset((a, -1)), 1.0)])
-            for a in range(n)
-        }
-        for a in range(n):
-            for b in range(a + 1, n):
-                hessian[a, b] = (4.0 * h[a] * h[b], [
-                    (offset((a, sa), (b, sb)), float(sa * sb))
-                    for sa in (1, -1) for sb in (1, -1)
-                ])
+        def second(a, b):
+            if a == b:
+                return (h[a] ** 2, [(offset((a, 1)), 1.0), (offset(), -2.0),
+                                    (offset((a, -1)), 1.0)])
+            return (4.0 * h[a] * h[b], [
+                (offset((a, sa), (b, sb)), float(sa * sb))
+                for sa in (1, -1) for sb in (1, -1)
+            ])
+
+        hessian = {pair: second(*pair) for pair in _pairs(n)}
         gradient = [
             (2.0 * h[a], [(offset((a, 1)), 1.0), (offset((a, -1)), -1.0)])
             for a in range(n)
@@ -346,11 +368,12 @@ def _shifted(values, offset):
     return values[idx]
 
 
-def _apply(values, stencil):
-    """One ``Grid.stencils`` entry at every interior node, interior_shape."""
+def _apply(values, stencil, out=None):
+    """One ``Grid.stencils`` entry at every interior node, interior_shape;
+    written into ``out`` when given."""
     divisor, terms = stencil
     (o, c), *rest = terms
-    acc = c * _shifted(values, o)
+    acc = np.multiply(c, _shifted(values, o), out=out)
     for o, c in rest:
         view = _shifted(values, o)
         if c == 1.0:  # the bits of c * view, without the multiply
@@ -359,7 +382,8 @@ def _apply(values, stencil):
             acc -= view
         else:
             acc += c * view
-    return acc / divisor
+    acc /= divisor
+    return acc
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the cone rule reports overflow
@@ -371,18 +395,29 @@ def interior_gradients(values, grid):
 
 @np.errstate(over="ignore", invalid="ignore")  # the cone rule reports overflow
 def interior_hessians(values, grid):
-    """Stencil Hessians at all interior nodes, shape (N_int, n, n)."""
-    n = grid.n
-    H = np.empty(grid.interior_shape + (n, n))
-    for (a, b), stencil in grid.stencils.hessian.items():
-        H[..., a, b] = H[..., b, a] = _apply(values, stencil)
-    return H.reshape(-1, n, n)
+    """Stencil Hessian components at all interior nodes, shape (C, N_int):
+    row c is H_ab for the c-th key (a, b) of ``Grid.stencils.hessian``."""
+    H = np.empty((len(grid.stencils.hessian), grid.num_interior))
+    for row, stencil in zip(H, grid.stencils.hessian.values()):
+        _apply(values, stencil, out=row.reshape(grid.interior_shape))
+    return H
+
+
+@np.errstate(over="ignore", invalid="ignore")  # the cone rule reports overflow
+def eta_components(A, tau, n):
+    """tau*tr(A)*I - A for symmetric n x n matrices given by their
+    components A (C, N) in ``_pairs`` order, in the same layout."""
+    out = np.negative(A)
+    out[:n] += tau * A[:n].sum(axis=0)
+    return out
 
 
 @dataclass(slots=True)
 class _OperatorFields:
     """Per-node operator data shared by residual and Jacobian assembly;
-    ``_residual_state`` adds psi_z and psi_p at its state when t > 0."""
+    ``_residual_state`` adds psi_z and psi_p at its state when t > 0.
+    d_k = d sigma_k / dU (C, N) and d_l = d sigma_l / dU (C, 1), 0 or I,
+    are components in ``_pairs`` order."""
 
     values: np.ndarray
     margin: float
@@ -394,59 +429,80 @@ class _OperatorFields:
 
     def gradient(self, spec):
         """d operator / dU = (1/m) f^(1-m) (sigma_l d_k - sigma_k d_l) / sigma_l^2
-        at every node, m = k - l, d_j = d sigma_j / dU; symmetrized."""
+        at every node, m = k - l; components (C, N)."""
         m = spec.degree_gap
-        sk, sl = self.tables[:, spec.k, None, None], self.tables[:, spec.l, None, None]
-        scale = self.values[:, None, None] ** (1 - m) / (m * sl**2)
-        G = scale * (sl * self.d_k - sk * self.d_l)
-        return 0.5 * (G + np.swapaxes(G, -1, -2))
+        sk, sl = self.tables[:, spec.k], self.tables[:, spec.l]
+        scale = self.values ** (1 - m) / (m * sl**2)
+        G = sl * self.d_k
+        G -= sk * self.d_l
+        G *= scale
+        return G
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def sigma_tensors(H, spec):
-    """Eigen-free sigma table of U = tau*tr(H)*I - H for a stack H (N, n, n).
+def operator_tensors(H, spec):
+    """U = tau*tr(H)*I - H, its sigma table and its Newton tensors, in
+    closed form, at the Hessian components H (C, N) of n x n matrices,
+    n in {2, 3} (see the module docstring).
 
-    The Faddeev-LeVerrier recurrence T_0 = I, sigma_j = tr(U T_{j-1}) / j,
-    T_j = sigma_j I - U T_{j-1} (j = 1..k) gives the characteristic
-    polynomial coefficients sigma_j, the elementary symmetric polynomials
-    of the eigenvalues, and their derivatives d sigma_j / dU = T_{j-1}
-    (Newton transformations, Reilly 1973); sigma_j = tr(U T_{j-1} / j)
-    where the trace overflows.  Never raises or warns: an overflow stays in
-    the table for the cone rule to report.  Returns the table
-    [sigma_0..sigma_k] (N, k + 1) and grads = [0, T_0..T_{k-1}].
+    Never raises or warns: an overflow stays in the table for the cone
+    rule to report.  Returns U (C, N), the table [sigma_0..sigma_k]
+    (N, k + 1), d_k = T_{k-1} (C, N) and d_l = T_{l-1} (C, 1), which is
+    0 or I because l <= k - 2 <= 1.
     """
-    U = eta_transform(H, spec.tau)
-    eye = np.eye(U.shape[-1])
-    tables = np.ones(U.shape[:-2] + (spec.k + 1,))
-    grads = [np.zeros_like(eye), eye]
-    M = U  # U T_{j-1}
-    for j in range(1, spec.k + 1):
-        tables[:, j] = np.einsum("...ii->...", M) / j
-        big = ~np.isfinite(tables[:, j])
-        if big.any():
-            tables[big, j] = np.einsum("...ii->...", M[big] / j)
-        if j < spec.k:
-            grads.append(tables[:, j, None, None] * eye - M)
-            M = U @ grads[-1]
-    return tables, grads
+    n, k, l = spec.n, spec.k, spec.l
+    if n not in (2, 3):
+        raise ValueError(f"the closed-form kernel needs n in {{2, 3}}, got {n}")
+    U = eta_components(H, spec.tau, n)
+    # built (k + 1, N) so that each sigma_j is a contiguous row
+    table = np.empty((k + 1, U.shape[1]))
+    table[0] = 1.0
+    U[:n].sum(axis=0, out=table[1])
+    if n == 2:
+        u0, u1, u01 = U
+        np.subtract(u0 * u1, u01 * u01, out=table[2])
+    else:
+        u0, u1, u2, u01, u02, u12 = U
+        # adj U: its diagonal holds the principal 2 x 2 minors
+        adj = np.empty_like(U)
+        np.subtract(u1 * u2, u12 * u12, out=adj[0])
+        np.subtract(u0 * u2, u02 * u02, out=adj[1])
+        np.subtract(u0 * u1, u01 * u01, out=adj[2])
+        adj[:3].sum(axis=0, out=table[2])
+        if k == 3:
+            np.subtract(u02 * u12, u01 * u2, out=adj[3])
+            np.subtract(u01 * u12, u02 * u1, out=adj[4])
+            np.subtract(u01 * u02, u0 * u12, out=adj[5])
+            # det U, expanded along the first row
+            np.add(u0 * adj[0] + u01 * adj[3], u02 * adj[4], out=table[3])
+    if k == 2:
+        d_k = np.negative(U)  # T_1 = sigma_1*I - U
+        d_k[:n] += table[1]
+    else:
+        d_k = adj  # T_2
+    d_l = np.zeros((len(U), 1))  # T_{l-1}: 0 for l = 0, I for l = 1
+    d_l[:n] = l
+    return U, table.T, d_k, d_l
 
 
 def hessian_fields(H, grid, spec):
-    """Operator fields at the interior Hessians H (N_int, n, n) of grid.
+    """Operator fields at the interior Hessian components H (C, N_int) of
+    grid.
 
     The first node outside the order-k cone, finite or not, raises
     NotAdmissibleError (``symfun.require_cone``) with the node and the
     eigenvalues of its U, n NaN where U is not finite."""
-    tables, grads = sigma_tensors(H, spec)
+    U, tables, d_k, d_l = operator_tensors(H, spec)
 
     def eigenvalues(row):
-        with np.errstate(over="ignore", invalid="ignore"):
-            U = eta_transform(H[row], spec.tau)
-        return sym_eig(U).values if np.isfinite(U).all() else np.full(spec.n, np.nan)
+        M = np.empty((spec.n, spec.n))
+        for (a, b), value in zip(_pairs(spec.n), U[:, row]):
+            M[a, b] = M[b, a] = value
+        return sym_eig(M).values if np.isfinite(M).all() else np.full(spec.n, np.nan)
     symfun.require_cone(tables, spec.k, eigenvalues, grid.interior_node)
     values = symfun._quotient_from_table(tables, spec.k, spec.l)
     margin = float(np.min(symfun.cone_margins(tables, spec.n)))
-    return _OperatorFields(values, margin, tables, grads[spec.k], grads[spec.l])
+    return _OperatorFields(values, margin, tables, d_k, d_l)
 
 
 def _operator_fields(values, grid, spec):
@@ -506,18 +562,28 @@ def assemble_jacobian(u, prob, t, psi0=None, state=None):
         state = _residual_state(u, prob, t, psi0)
     r, fields = state
     # chain rule through the self-adjoint map U = tau*tr(H)*I - H
-    Q = eta_transform(fields.gradient(spec), spec.tau)
+    Q = eta_components(fields.gradient(spec), spec.tau, grid.n)
 
     pattern = grid.jacobian_pattern
     W = np.zeros((len(pattern.offsets), nint))
 
     def add(q, stencil):
+        # q / d scaled by coef: the bits of q * coef / d, since every
+        # coefficient is +-1 or -2 and scaling by a power of two commutes
+        # with rounding
         divisor, terms = stencil
+        w = q / divisor
         for offset, coef in terms:
-            W[pattern.slot[offset]] += q * coef / divisor
+            row = W[pattern.slot[offset]]
+            if coef == 1.0:
+                row += w
+            elif coef == -1.0:
+                row -= w
+            else:
+                row += coef * w
 
-    for (a, b), stencil in grid.stencils.hessian.items():
-        add(Q[:, a, b] if a == b else 2.0 * Q[:, a, b], stencil)
+    for q, ((a, b), stencil) in zip(Q, grid.stencils.hessian.items()):
+        add(q if a == b else 2.0 * q, stencil)
     if t != 0.0:
         W[pattern.slot[(0,) * grid.n]] -= t * fields.psi_z
         if fields.psi_p.any():
@@ -532,20 +598,21 @@ def assemble_jacobian(u, prob, t, psi0=None, state=None):
 
 
 def exact_derivatives(e, x):
-    """Symbolic gradient (N, n) and Hessian (N, n, n) of an expression of
-    x, sampled at the points x (N, n), such as ``Grid.interior_coords()``.
-    Each first derivative is built once and differentiated again for its
-    Hessian row."""
+    """Symbolic gradient (N, n) and Hessian components (C, N), in
+    ``_pairs`` order, of an expression of x, sampled at the points x
+    (N, n), such as ``Grid.interior_coords()``.  Each first derivative is
+    built once and differentiated again for its Hessian row."""
     env = expr_mod.EvalEnv(x=x)
     n = x.shape[1]
+    slot = {pair: c for c, pair in enumerate(_pairs(n))}
     P = np.empty(x.shape)
-    H = np.empty(x.shape + (n,))
+    H = np.empty((len(slot), x.shape[0]))
     for a in range(n):
         da = expr_mod.differentiate(e, f"x{a + 1}")
         P[:, a] = expr_mod.evaluate_batch(da, env)
         for b in range(a, n):
             dab = expr_mod.differentiate(da, f"x{b + 1}")
-            H[:, a, b] = H[:, b, a] = expr_mod.evaluate_batch(dab, env)
+            H[slot[a, b]] = expr_mod.evaluate_batch(dab, env)
     return P, H
 
 

@@ -388,9 +388,9 @@ def _newton(u, t, prob, psi0):
                 f"{iters} iterations",
                 iterate=u,
             )
-        # the state is already at hand: assembly evaluates nothing at u
-        sys = grid_mod.assemble_jacobian(u, prob, t, state=(r, fields))
-        delta = linear_solve(sys)
+        # the state is already at hand: assembly evaluates nothing at u; the
+        # system is released once solved, before the next one is assembled
+        delta = linear_solve(grid_mod.assemble_jacobian(u, prob, t, state=(r, fields)))
         s = 1.0
         while True:
             try:

@@ -5,7 +5,8 @@ trace transform A -> tau*tr(A)*I - A, the matrix operator built from the
 sigma-quotient root of the transformed eigenvalues, its first derivative
 matrices, and the divided-difference form of its off-diagonal second
 derivative.  Everything broadcasts over leading batch axes; the grid
-assembly uses the eigen-free ``grid.hessian_fields`` instead.
+assembly uses the eigen-free closed form ``grid.hessian_fields`` instead,
+and this module is its test oracle.
 """
 
 from dataclasses import dataclass

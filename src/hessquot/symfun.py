@@ -3,7 +3,8 @@
 Everything here is a plain function of an eigenvalue vector ``lam`` of
 length n >= 2.  All functions broadcast over leading axes, so ``lam`` may
 be a single vector of shape (n,) or a batch of shape (..., n); the grid
-assembly uses the eigen-free ``grid.sigma_tensors`` instead.
+assembly uses the eigen-free closed form ``grid.operator_tensors`` instead,
+and these functions are its test oracle.
 
 Conventions: sigma_0 = 1, sigma_j = 0 for j < 0 or j > (number of
 entries).  The Garding cone of order k is the open set where

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import expr as expr_mod
 from . import grid as grid_mod
-from . import symfun
+from . import spectral, symfun
 from .errors import OracleScaleError
 from .grid import Grid, GridFunction
 from .solver import ProblemSpec, PsiField, _sample_data, solve_dirichlet
@@ -174,12 +174,12 @@ def run_diagnostics(u, prob):
 
     # interior sigma table (never aborts: margins may come back negative or NaN)
     H = grid_mod.interior_hessians(u.values, g)
-    tables, _ = grid_mod.sigma_tensors(H, spec)
+    _, tables, _, _ = grid_mod.operator_tensors(H, spec)
     margins = symfun.cone_margins(tables, spec.n)
     marg_row = int(np.argmin(margins))
 
     with np.errstate(invalid="ignore"):  # +inf and -inf on one diagonal
-        lap = np.einsum("...ii->...", H)
+        lap = H[: g.n].sum(axis=0)
     lap_row = int(np.argmin(lap))
 
     p = grid_mod.interior_gradients(u.values, g)
@@ -299,6 +299,37 @@ def selftest(seed=0):
                 worst_h = max(worst_h, float(np.max(np.abs(fdh - hx[:, i]))) / max(1.0, float(np.max(np.abs(hx)))))
     check("quotient gradient vs finite differences", worst_g <= 1e-6, f"max rel err {worst_g:.2e}")
     check("quotient hessian vs finite differences", worst_h <= 1e-5, f"max rel err {worst_h:.2e}")
+
+    # closed-form grid kernel vs the eigenvalue route, on rotated spectra
+    # whose sigma_j / rho^j all exceed 1e-3 (well conditioned on both routes)
+    worst = 0.0
+    for n, k, l in [(2, 2, 0), (3, 2, 0), (3, 3, 0), (3, 3, 1)]:
+        spec = symfun.QuotientSpec(n, k, l, tau=1.5)
+        lams = symfun.sample_cone(rng, n, k, 40)
+        rho = np.abs(lams).max(axis=1, keepdims=True)
+        table = symfun.sigma_all(lams)[:, : k + 1]
+        keep = np.all(table[:, 1:] / rho ** np.arange(1, k + 1) > 1e-3, axis=1)
+        lams, table, rho = lams[keep], table[keep], rho[keep]
+        q = np.stack([np.linalg.qr(rng.normal(size=(n, n)))[0] for _ in lams])
+        U = np.einsum("bip,bp,bjp->bij", q, lams, q)
+        U = 0.5 * (U + np.swapaxes(U, 1, 2))
+        trace_h = np.trace(U, axis1=1, axis2=2) / (spec.tau * n - 1.0)
+        H = spec.tau * trace_h[:, None, None] * np.eye(n) - U
+        pairs = grid_mod._pairs(n)
+        fields = grid_mod.hessian_fields(
+            np.stack([H[:, a, b] for a, b in pairs]), Grid(n, (0,) * n, (1,) * n, 5), spec)
+        G = np.empty_like(U)
+        for g, (a, b) in zip(fields.gradient(spec), pairs):
+            G[:, a, b] = G[:, b, a] = g
+        G_ref = spectral.operator_gradient(U, spec)
+        values = symfun.quotient_value(lams, spec)
+        worst = max(
+            worst,
+            float(np.max(np.abs(fields.values - values) / values)),
+            float(np.max(np.abs(fields.tables - table) / rho ** np.arange(k + 1))),
+            float(np.max(np.abs(G - G_ref).max(axis=(1, 2)) / np.abs(G_ref).max(axis=(1, 2)))),
+        )
+    check("operator kernel vs eigenvalue route", worst <= 1e-10, f"max rel err {worst:.2e}")
 
     # eigen reconstruction
     worst = 0.0

@@ -1,6 +1,7 @@
 """Shared helpers for the test suite: batched cone sampling, admissible
-matrix construction, the list of valid operator parameter triples, and an
-iterate whose sigma table overflows at one node."""
+matrix construction, the list of valid operator parameter triples, an
+iterate whose sigma table overflows at one node, and conversions between
+(N, n, n) matrix stacks and the grid kernel's (C, N) components."""
 
 import numpy as np
 import pytest
@@ -46,6 +47,24 @@ def inverse_eta(U, tau):
     n = U.shape[-1]
     tr_a = np.trace(U) / (tau * n - 1.0)
     return tau * tr_a * np.eye(n) - U
+
+
+def _pairs(n):
+    # (a, b), a <= b: the diagonal first, then the upper triangle row by row
+    return [(a, a) for a in range(n)] + [(a, b) for a in range(n) for b in range(a + 1, n)]
+
+
+def to_components(H):
+    """Symmetric matrices (N, n, n) as the grid kernel's components (C, N)."""
+    return np.stack([H[:, a, b] for a, b in _pairs(H.shape[-1])])
+
+
+def to_stack(A, n):
+    """The grid kernel's components (C, N) of n x n matrices as (N, n, n)."""
+    out = np.empty((A.shape[1], n, n))
+    for row, (a, b) in zip(A, _pairs(n)):
+        out[:, a, b] = out[:, b, a] = row
+    return out
 
 
 @pytest.fixture

@@ -94,6 +94,8 @@ def test_domain_faults():
     for text in ("(0*exp(1000*x1))^0", "1^(0*exp(1000*x1))"):  # np.power gives 1
         with pytest.raises(DomainFaultError, match="NaN value"):
             evaluate(parse(text, 1), EvalEnv(x=[1.0]))
+    with pytest.raises(DomainFaultError, match="NaN value"):  # positive integer power
+        evaluate(parse("(0*exp(1000*x1))^2", 1), EvalEnv(x=[1.0]))
     err = None
     try:
         evaluate(parse("2 + log(1 - x1)", 1), EvalEnv(x=[1.0]))

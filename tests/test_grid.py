@@ -6,6 +6,7 @@ from scipy import sparse
 
 from hessquot import expr as expr_mod
 from hessquot import grid as grid_mod
+from hessquot import symfun
 from hessquot.errors import NotAdmissibleError
 from hessquot.grid import (
     Grid,
@@ -19,7 +20,10 @@ from hessquot.grid import (
     sample_expression,
 )
 from hessquot.solver import ProblemSpec, PsiField, homotopy_rhs_field
+from hessquot.spectral import eta_transform, operator_gradient, sym_eig
 from hessquot.symfun import QuotientSpec
+
+from conftest import to_stack
 
 
 def _grid3(res=9):
@@ -82,7 +86,7 @@ def test_hessian_second_order_convergence():
     for res in (17, 33):
         g = Grid(n=2, lo=(0, 0), hi=(1, 1), res=res)
         u = sample_expression(expr_mod.parse("sin(x1)*sin(x2)", 2), g)
-        H = interior_hessians(u.values, g)
+        H = to_stack(interior_hessians(u.values, g), 2)
         x = g.interior_coords()
         exact = np.empty_like(H)
         s1, s2 = np.sin(x[:, 0]), np.sin(x[:, 1])
@@ -128,12 +132,32 @@ def test_pointwise_and_vectorized_stencils_agree(rng):
         (Grid(3, *UNEQUAL_BOX, 7), [(1, 1, 1), (3, 4, 2), (5, 1, 5)]),
     ]:
         u = GridFunction(g, rng.normal(size=g.shape))
-        H = interior_hessians(u.values, g)
+        H = to_stack(interior_hessians(u.values, g), g.n)
         P = interior_gradients(u.values, g)
         for node in nodes:
             row = np.ravel_multi_index(tuple(i - 1 for i in node), g.interior_shape)
             assert np.array_equal(fd_hessian(u, node), H[row])
             assert np.array_equal(fd_gradient(u, node), P[row])
+
+
+@pytest.mark.parametrize("k, l, tau", [(3, 1, 1.0), (2, 0, 1.5)])
+def test_closed_form_kernel_matches_eigen_route_at_every_node(k, l, tau):
+    # unequal spacing and nonzero cross derivatives, so every component of
+    # U, adj U and Q is exercised
+    g = Grid(3, *UNEQUAL_BOX, 7)
+    spec = QuotientSpec(3, k, l, tau=tau)
+    u = sample_expression(
+        expr_mod.parse("exp((x1^2 + x2^2 + x3^2)/4) + 0.2*x1*x2 - 0.1*x2*x3", 3), g)
+    fields = grid_mod._operator_fields(u.values, g, spec)
+    Q = to_stack(grid_mod.eta_components(fields.gradient(spec), tau, 3), 3)
+
+    U = eta_transform(to_stack(interior_hessians(u.values, g), 3), tau)
+    lam = sym_eig(U).values
+    scale = np.abs(lam).max(axis=1, keepdims=True) ** np.arange(k + 1)
+    Q_ref = eta_transform(operator_gradient(U, spec), tau)
+    assert np.all(np.abs(fields.tables - symfun.sigma_all(lam)[:, : k + 1]) <= 1e-12 * scale)
+    assert np.allclose(fields.values, symfun.quotient_value(lam, spec), rtol=1e-13, atol=0.0)
+    assert np.all(np.abs(Q - Q_ref).max(axis=(1, 2)) <= 1e-11 * np.abs(Q_ref).max(axis=(1, 2)))
 
 
 def _quadratic_problem(res=9):
@@ -277,7 +301,7 @@ def _reference_jacobian(u, prob, t):
     h = grid.h
     # G from the production helper: this reference checks the CSR
     # pattern and the scatter, not the operator gradient
-    G = grid_mod._operator_fields(u.values, grid, spec).gradient(spec)
+    G = to_stack(grid_mod._operator_fields(u.values, grid, spec).gradient(spec), n)
     trG = np.trace(G, axis1=-2, axis2=-1)
     Q = spec.tau * trG[..., None, None] * np.eye(n) - G
 
@@ -402,6 +426,7 @@ def test_exact_derivative_sampling():
     x = g.interior_coords()
     vals = np.exp((x**2).sum(axis=1) / 4)
     P, H = grid_mod.exact_derivatives(e, x)
+    H = to_stack(H, 2)
     assert np.allclose(P, 0.5 * x * vals[:, None], rtol=1e-12)
     expected = vals[:, None, None] * (
         0.5 * np.eye(2) + 0.25 * np.einsum("ni,nj->nij", x, x)

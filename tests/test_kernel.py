@@ -1,5 +1,6 @@
-"""The eigen-free operator kernel (grid.sigma_tensors / grid.hessian_fields)
-against the eigenvalue route, and uniform failure reporting by its callers."""
+"""The eigen-free closed-form operator kernel (grid.operator_tensors /
+grid.hessian_fields) against the eigenvalue route, and uniform failure
+reporting by its callers."""
 
 import warnings
 
@@ -18,7 +19,14 @@ from hessquot.spectral import eta_transform, operator_gradient
 from hessquot.symfun import QuotientSpec
 from hessquot.verify import manufactured_problem, sigma_bruteforce
 
-from conftest import OVERFLOW_OCTIC, inverse_eta, random_orthogonal, valid_triples
+from conftest import (
+    OVERFLOW_OCTIC,
+    inverse_eta,
+    random_orthogonal,
+    to_components,
+    to_stack,
+    valid_triples,
+)
 
 # Margins, as |sigma_j| / rho(U)^j, beyond which the cone decision and the
 # gradient are well conditioned on both routes.
@@ -64,7 +72,7 @@ def cases(draw):
 def test_kernel_matches_eigen_route(case):
     spec, lam, H = case
     n, k = spec.n, spec.k
-    tables, _ = grid_mod.sigma_tensors(H[None], spec)
+    _, tables, _, _ = grid_mod.operator_tensors(to_components(H[None]), spec)
     ref = np.array([sigma_bruteforce(lam, j) for j in range(k + 1)])
     scale = np.abs(lam).max() ** np.arange(k + 1)
     assert np.all(np.abs(tables[0] - ref) <= 1e-12 * scale)
@@ -75,7 +83,8 @@ def test_kernel_matches_eigen_route(case):
     except NotAdmissibleError as err:
         eigen_j = err.failing_index
     try:
-        fields = grid_mod.hessian_fields(H[None], Grid(n, (0,) * n, (1,) * n, 5), spec)
+        fields = grid_mod.hessian_fields(
+            to_components(H[None]), Grid(n, (0,) * n, (1,) * n, 5), spec)
     except NotAdmissibleError as err:
         kernel_j = err.failing_index
         assert len(err.lam) == n and err.node == (1,) * n
@@ -83,7 +92,7 @@ def test_kernel_matches_eigen_route(case):
     if margin > CLEAR:
         assert kernel_j == eigen_j
     if kernel_j is None and eigen_j is None and margin > GRADIENT_CLEAR:
-        G = fields.gradient(spec)[0]
+        G = to_stack(fields.gradient(spec), n)[0]
         G_ref = operator_gradient(eta_transform(H, spec.tau), spec)
         assert np.abs(G - G_ref).max() <= 1e-11 * np.abs(G_ref).max()
 
@@ -188,7 +197,7 @@ def test_sigma_table_stays_finite_where_only_the_trace_overflows():
     a = np.sqrt(1.2e308)
     spec = QuotientSpec(2, 2, 0)
     H = inverse_eta(np.diag([a, a]), spec.tau)[None]
-    tables, _ = grid_mod.sigma_tensors(H, spec)
+    _, tables, _, _ = grid_mod.operator_tensors(to_components(H), spec)
     assert np.isfinite(tables).all()
     assert np.allclose(tables[0], symfun.sigma_all([a, a]), rtol=1e-14, atol=0.0)
 
@@ -201,7 +210,7 @@ def test_kernel_accepts_a_finite_sigma_table_near_overflow():
     u = sample_expression(expr_mod.parse("3.3e153*(x1^4 + x2^4)/12", 2), g)
     H = grid_mod.interior_hessians(u.values, g)
     fields = grid_mod.hessian_fields(H, g, spec)
-    lam = np.linalg.eigvalsh(eta_transform(H, spec.tau))
+    lam = np.linalg.eigvalsh(eta_transform(to_stack(H, 2), spec.tau))
     assert symfun.in_gamma_k(lam, spec.k).all()
     assert np.isfinite(fields.values).all()
     assert np.allclose(fields.tables, symfun.sigma_all(lam), rtol=1e-12, atol=0.0)
