@@ -617,16 +617,23 @@ def exact_derivatives(e, x):
 
 
 def csv_lines(u):
-    """Rows of the grid CSV: indices, coordinates, value; row-major order."""
+    """Rows of the grid CSV: indices, coordinates, value; row-major order.
+
+    Each axis's index and coordinate strings (those of ``Grid.coords``)
+    are formatted once; a line of nodes along the last axis shares the
+    prefix of the leading axes."""
     grid = u.grid
-    if grid.n == 2:
-        yield "i,j,x1,x2,u"
-    else:
-        yield "i,j,k,x1,x2,x3,u"
-    coords = grid.coords().reshape(-1, grid.n)
-    flat = u.values.reshape(-1)
-    for row, idx in enumerate(np.ndindex(grid.shape)):
-        parts = [str(i) for i in idx]
-        parts += [repr(float(c)) for c in coords[row]]
-        parts.append(repr(float(flat[row])))
-        yield ",".join(parts)
+    n, res = grid.n, grid.res
+    yield ",".join([*"ijk"[:n], *(f"x{a + 1}" for a in range(n)), "u"])
+    index = [f"{i}," for i in range(res)]
+    axes = [
+        [f"{c!r}," for c in np.linspace(lo, hi, res).tolist()]
+        for lo, hi in zip(grid.lo, grid.hi)
+    ]
+    heads, coords = [""], [""]
+    for axis in axes[:-1]:
+        heads = [h + i for h in heads for i in index]
+        coords = [c + x for c in coords for x in axis]
+    for head, coord, row in zip(heads, coords, u.values.reshape(-1, res).tolist()):
+        for i, x, v in zip(index, axes[-1], row):
+            yield f"{head}{i}{coord}{x}{v!r}"

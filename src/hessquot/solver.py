@@ -287,12 +287,13 @@ def homotopy_rhs_field(prob):
 
 _RELRES_GATE = 1e-10
 _GMRES_RTOL = 1e-12
-# GMRES(50) with at most four restart cycles.  A cycle stops on the
-# preconditioned residual, so most solves need a short second cycle to
-# bring the true residual under rtol, and some end that cycle just above
-# it (1.0002e-12 on one continuation system) and need a third.  Admissible
-# Jacobians never come near four cycles, so hitting the cap means the
-# system is (nearly) singular and the LU path should decide.
+# GMRES(50) with at most four restart cycles.  A cycle stops on its
+# Arnoldi estimate of the true residual, so almost every solve takes one
+# cycle; a few end it just above rtol by rounding (1.01x and 1.25x on two
+# of the 23 systems of the res-97 continuation at c = 0.092) and take a
+# one-step second.  Admissible Jacobians never come near four cycles, so
+# hitting the cap means the system is (nearly) singular and the LU path
+# should decide.
 _GMRES_RESTART = 50
 _GMRES_CYCLES = 4
 
@@ -305,8 +306,9 @@ def linear_solve(sys):
     M^{-1} r = L^{-1}(r / d).  J is a uniformly elliptic Q:D^2 operator
     plus first-order terms, but the scaled Laplacian ignores the
     anisotropy and cross terms of Q, so the iteration count grows with
-    resolution: about 25 / 32 / 38 / 44 per t = 1 system of the 2-D
-    gradient-dependent benchmark problem at res 49 / 97 / 193 / 385.
+    resolution: about 24 / 31 / 37 / 42 Arnoldi steps per t = 1 system of
+    the 2-D gradient-dependent benchmark problem at res 49 / 97 / 193 /
+    385, in one cycle or with a one-step second (see _GMRES_CYCLES).
     Systems without a grid, and grid systems whose GMRES result misses
     the gate below, are solved by sparse LU.  The relative residual must
     come back below 1e-10; anything else is reported as a singular system,
@@ -351,14 +353,83 @@ def _krylov_solve(sys):
     d = matrix.diagonal() / grid.laplacian_diagonal
     if not np.all(np.isfinite(d) & (d != 0.0)):
         return None
-    precond = sparse_linalg.LinearOperator(
-        matrix.shape, matvec=lambda r: grid.laplacian_solve(r / d), dtype=float
-    )
-    delta, info = sparse_linalg.gmres(
-        matrix, sys.rhs, rtol=_GMRES_RTOL, restart=_GMRES_RESTART,
-        maxiter=_GMRES_CYCLES, M=precond,
-    )
-    return delta if info == 0 else None
+    return _gmres(matrix, sys.rhs, lambda r: grid.laplacian_solve(r / d))
+
+
+def _gmres(matrix, b, precond):
+    """x with ||b - matrix x|| <= _GMRES_RTOL ||b|| by right-preconditioned
+    GMRES(_GMRES_RESTART) (Saad & Schultz, SIAM J. Sci. Stat. Comput.
+    1986), with M^{-1} = precond; None when _GMRES_CYCLES cycles (see
+    _gmres_cycle) do not reach it.  b must be nonzero.
+
+    Every cycle restarts from the true residual b - matrix x, and x is
+    returned only once that true residual is within the tolerance, never
+    on the Arnoldi estimate alone.
+    """
+    tol = _GMRES_RTOL * np.linalg.norm(b)
+    # one basis for every cycle, and no preconditioned basis: each cycle
+    # applies M^{-1} once more, to V^T y
+    V = np.empty((_GMRES_RESTART + 1, b.shape[0]))
+    x = np.zeros_like(b)
+    r = b
+    for _ in range(_GMRES_CYCLES):
+        dx = _gmres_cycle(matrix, r, precond, tol, V)
+        if dx is None:
+            return None
+        x += dx
+        r = b - matrix @ x
+        if np.linalg.norm(r) <= tol:  # a NaN residual fails
+            return x
+    return None
+
+
+def _gmres_cycle(matrix, r, precond, tol, V):
+    """One GMRES cycle on matrix dx = r from dx = 0, in the basis rows V;
+    None where the reduced Hessenberg matrix is singular or not finite.
+
+    Arnoldi builds an orthonormal basis V of the Krylov space of
+    matrix M^{-1}.  Each step orthogonalises by classical Gram-Schmidt
+    applied twice ("twice is enough", Giraud, Langou & Rozloznik, 2005),
+    two BLAS matrix-vector products a pass.  Givens rotations reduce each
+    Hessenberg column to R, so |g[j + 1]| is the residual norm of the
+    least-squares solution y; with right preconditioning that is the true
+    residual up to rounding.  The cycle stops once it reaches tol (as a
+    breakdown does) or the basis is full, and returns M^{-1} V^T y.
+    """
+    beta = float(np.linalg.norm(r))
+    if not beta < math.inf:
+        return None
+    R = np.zeros((_GMRES_RESTART, _GMRES_RESTART))
+    V[0] = r / beta
+    g, cs, sn = [beta], [], []
+    for j in range(_GMRES_RESTART):
+        w = matrix @ precond(V[j])
+        basis = V[: j + 1]
+        h = basis @ w
+        w -= h @ basis
+        h2 = basis @ w
+        w -= h2 @ basis
+        col = (h + h2).tolist()
+        below = float(np.linalg.norm(w))
+        for i in range(j):
+            col[i], col[i + 1] = (
+                cs[i] * col[i] + sn[i] * col[i + 1],
+                cs[i] * col[i + 1] - sn[i] * col[i],
+            )
+        rho = math.hypot(col[j], below)
+        if not 0.0 < rho < math.inf:
+            return None
+        cs.append(col[j] / rho)
+        sn.append(below / rho)
+        col[j] = rho
+        R[: j + 1, j] = col
+        g.append(-sn[j] * g[j])
+        g[j] *= cs[j]
+        if abs(g[j + 1]) <= tol:
+            break
+        V[j + 1] = w / below
+    k = len(cs)
+    return precond(np.linalg.solve(R[:k, :k], g[:k]) @ V[:k])
 
 
 def _step(u, delta, s):

@@ -420,6 +420,30 @@ def test_csv_lines_layout():
     assert lines3[0] == "i,j,k,x1,x2,x3,u"
 
 
+def _csv_reference(u):
+    # the grid CSV rows formatted node by node from Grid.coords
+    g = u.grid
+    coords = g.coords().reshape(-1, g.n)
+    flat = u.values.reshape(-1)
+    for row, idx in enumerate(np.ndindex(g.shape)):
+        parts = [str(i) for i in idx] + [repr(float(c)) for c in coords[row]]
+        yield ",".join(parts + [repr(float(flat[row]))])
+
+
+@pytest.mark.parametrize(
+    "g, e",
+    [
+        (_grid2(6), "exp(x1)*x2 - 1/3"),
+        (Grid(3, *UNEQUAL_BOX, 5), "x1 - x2/3 + exp(x3)"),
+    ],
+    ids=["2d", "3d-unequal"],
+)
+def test_csv_lines_match_a_per_node_reference(g, e):
+    u = sample_expression(expr_mod.parse(e, g.n), g)
+    lines = list(grid_mod.csv_lines(u))
+    assert lines[1:] == list(_csv_reference(u))
+
+
 def test_exact_derivative_sampling():
     g = _grid2(7)
     e = expr_mod.parse("exp((x1^2 + x2^2)/4)", 2)

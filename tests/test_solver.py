@@ -618,29 +618,68 @@ def test_krylov_path_agrees_with_superlu(make, monkeypatch):
     assert delta.tobytes() == again.tobytes()
 
 
+def _sine_precond(sys_):
+    # the preconditioner of the Krylov path: M^{-1} r = L^{-1}(r / d)
+    g = sys_.grid
+    d = sys_.matrix.diagonal() / g.laplacian_diagonal
+    return lambda r: g.laplacian_solve(r / d)
+
+
+@pytest.mark.parametrize("make", [_bump_system_3d, _gradient_system_2d])
+def test_gmres_meets_rtol_on_the_true_residual(make):
+    sys_ = make()
+    A, b = sys_.matrix, sys_.rhs
+    precond = _sine_precond(sys_)
+    tol = 1e-12 * np.linalg.norm(b)
+    x = solver_mod._gmres(A, b, precond)
+    assert np.linalg.norm(b - A @ x) <= tol
+    assert x.tobytes() == solver_mod._gmres(A, b, precond).tobytes()
+    # one cycle gets there: it stops on the Arnoldi estimate, which is the
+    # true residual while the Givens rotations are right and the basis
+    # stays orthonormal
+    calls = []
+
+    def counted(r):
+        calls.append(1)
+        return precond(r)
+
+    V = np.empty((solver_mod._GMRES_RESTART + 1, b.shape[0]))
+    dx = solver_mod._gmres_cycle(A, b, counted, tol, V)
+    assert np.linalg.norm(b - A @ dx) <= tol
+    basis = V[: len(calls) - 1]  # one application per step, one for dx
+    assert np.abs(basis @ basis.T - np.eye(basis.shape[0])).max() <= 1e-12
+    # duplicated row: no cycle reaches rtol, so no iterate is returned
+    mid = b.shape[0] // 2
+    singular = _with_row(sys_, mid, source=mid + 1)
+    assert solver_mod._gmres(singular.matrix, b, _sine_precond(singular)) is None
+
+
 def test_continuation_never_falls_back_to_lu(monkeypatch):
-    # 2-D (2,0), res 97, gradient-dependent psi: at this amplitude (and
-    # across 0.090-0.094) one Newton system's GMRES ends its second restart
-    # cycle just above rtol and needs a third
+    # 2-D (2,0), res 97, gradient-dependent psi: at this amplitude two
+    # Newton systems end their first GMRES cycle on the Arnoldi estimate
+    # with the true residual just above rtol (1.01x and 1.25x) and need a
+    # one-step second cycle.  No system comes near the cap of four cycles,
+    # which only bounds the work on a (nearly) singular system before the
+    # LU path decides it.
     prob = _continuation2d(97, c=0.092)
     _forbid_lu(monkeypatch)
     cycles = []  # GMRES restart cycles per system
-    gmres = sparse_linalg.gmres
+    gmres, cycle = solver_mod._gmres, solver_mod._gmres_cycle
 
-    def spy(*args, **kwargs):
+    def spy(*args):
         cycles.append(0)
+        return gmres(*args)
 
-        def count(_):
-            cycles[-1] += 1
+    def count(*args):
+        cycles[-1] += 1
+        return cycle(*args)
 
-        # the "x" callback runs once at the end of every restart cycle
-        return gmres(*args, callback=count, callback_type="x", **kwargs)
-
-    monkeypatch.setattr(sparse_linalg, "gmres", spy)
+    monkeypatch.setattr(solver_mod, "_gmres", spy)
+    monkeypatch.setattr(solver_mod, "_gmres_cycle", count)
     _, report = _solve_single_grid(prob)
     assert report.converged and report.stages[-1].t == 1.0
-    # otherwise the path no longer reaches the cycle cap this test guards
-    assert max(cycles) > 2
+    # otherwise the path no longer reaches the restart this test guards
+    assert max(cycles) > 1
 
 
 def test_gradient_system_is_nonsymmetric():
@@ -663,26 +702,26 @@ def test_singular_grid_system_still_raises(monkeypatch):
         linear_solve(_with_row(sys_, mid))
     # duplicated row: the scaling diagonal stays nonzero, so GMRES runs,
     # fails to converge, and the LU path reports the singular system
-    infos = []
-    gmres = sparse_linalg.gmres
+    results = []
+    gmres = solver_mod._gmres
 
-    def spy(*args, **kwargs):
-        out = gmres(*args, **kwargs)
-        infos.append(out[1])
+    def spy(*args):
+        out = gmres(*args)
+        results.append(out)
         return out
 
-    monkeypatch.setattr(sparse_linalg, "gmres", spy)
+    monkeypatch.setattr(solver_mod, "_gmres", spy)
     with pytest.raises(SingularSystemError):
         linear_solve(_with_row(sys_, mid, source=mid + 1))
-    assert len(infos) == 1 and infos[0] != 0
+    assert len(results) == 1 and results[0] is None
 
 
 @pytest.mark.parametrize(
     "fake",
     [
-        lambda x: (x + 1e-3 * np.abs(x).max(), 0),  # claims success, wrong
-        lambda x: (np.full_like(x, np.nan), 0),  # claims success, non-finite
-        lambda x: (x, 1),  # right answer, but reports no convergence
+        lambda x: x + 1e-3 * np.abs(x).max(),  # claims success, wrong
+        lambda x: np.full_like(x, np.nan),  # claims success, non-finite
+        lambda x: None,  # reports no convergence
     ],
 )
 def test_unchecked_gmres_result_is_never_returned(fake, monkeypatch):
@@ -695,7 +734,7 @@ def test_unchecked_gmres_result_is_never_returned(fake, monkeypatch):
         lu_calls.append(1)
         return spsolve(*args, **kwargs)
 
-    monkeypatch.setattr(sparse_linalg, "gmres", lambda A, b, **kw: fake(ref.copy()))
+    monkeypatch.setattr(solver_mod, "_gmres", lambda A, b, precond: fake(ref.copy()))
     monkeypatch.setattr(sparse_linalg, "spsolve", spy)
     delta = linear_solve(sys_)
     assert lu_calls == [1]
