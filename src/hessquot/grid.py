@@ -37,6 +37,7 @@ tables pass an overflow on silently, for the cone rule to report.
 """
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
@@ -74,6 +75,11 @@ class Grid:
     res: int
 
     def __post_init__(self):
+        for name in ("n", "res"):  # numpy integers pass, 9.0 does not
+            try:
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
         if self.n not in (2, 3):
             raise ValueError(f"grid dimension must be 2 or 3, got {self.n}")
         if len(self.lo) != self.n or len(self.hi) != self.n:

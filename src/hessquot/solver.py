@@ -39,7 +39,6 @@ import warnings
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
-from scipy.sparse import linalg as sparse_linalg
 
 from . import expr as expr_mod
 from . import grid as grid_mod
@@ -58,9 +57,10 @@ from .symfun import QuotientSpec
 log = logging.getLogger("hessquot.solver")
 
 _MIN_STEP = 2.0 ** -30
-# what fails a stage attempt or a grid level: a typed solver failure, or a
-# start that is not admissible or where psi faults
-_FAILURES = (SolverError, NotAdmissibleError, expr_mod.DomainFaultError)
+# what fails a stage attempt or a grid level: a typed solver failure, a
+# start that is not admissible or where psi faults, or data that cannot be
+# sampled on the level's grid
+_FAILURES = (SolverError, NotAdmissibleError, expr_mod.DomainFaultError, ProblemSpecError)
 
 
 @dataclass(frozen=True)
@@ -130,6 +130,15 @@ class ProblemSpec:
     newton: NewtonParams = field(default_factory=NewtonParams)
     homotopy: HomotopyParams = field(default_factory=HomotopyParams)
 
+    def __setattr__(self, name, value):
+        super().__setattr__(name, value)
+        # psi's derivative trees follow psi, built once per assignment
+        if name == "psi" and not isinstance(value, PsiField):
+            super().__setattr__("_psi_z", expr_mod.differentiate(value, "u"))
+            super().__setattr__("_psi_p", [
+                expr_mod.differentiate(value, f"p{i+1}") for i in range(self.grid.n)
+            ])
+
     def __post_init__(self):
         if self.grid.n != self.quotient.n:
             raise ValueError("grid dimension and operator dimension disagree")
@@ -140,11 +149,6 @@ class ProblemSpec:
                 raise ProblemSpecError(
                     f"{name} may depend on coordinates only, found {sorted(bad)}"
                 )
-        if not isinstance(self.psi, PsiField):
-            self._psi_z = expr_mod.differentiate(self.psi, "u")
-            self._psi_p = [
-                expr_mod.differentiate(self.psi, f"p{i+1}") for i in range(self.grid.n)
-            ]
 
     @property
     def field_psi(self):
@@ -208,6 +212,8 @@ class SolveReport:
 
 
 def _sample_data(prob, name):
+    """prob.<name> at every node of prob.grid; ProblemSpecError where it is
+    not finite or faults."""
     try:
         return grid_mod.sample_expression(getattr(prob, name), prob.grid)
     except ValueError as err:  # NaN or Inf, or a domain fault
@@ -273,8 +279,7 @@ def validate_problem(prob):
 
 def _start(prob):
     """The continuation's start iterate: the subsolution, boundary set to phi."""
-    sub = grid_mod.sample_expression(prob.subsolution, prob.grid)
-    return _with_boundary_data(sub.values, prob)
+    return _with_boundary_data(_sample_data(prob, "subsolution").values, prob)
 
 
 def homotopy_rhs_field(prob):
@@ -320,6 +325,8 @@ def linear_solve(sys):
         delta = _krylov_solve(sys)
         if delta is not None and _relres(sys.matrix, delta, rhs, bnorm) <= _RELRES_GATE:
             return delta
+    from scipy.sparse import linalg as sparse_linalg  # GMRES solves almost every system
+
     matrix = sys.matrix.tocsc()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", sparse_linalg.MatrixRankWarning)
@@ -506,9 +513,8 @@ def _with_boundary_data(values, prob):
     """Grid function of the nodal array ``values`` with its boundary nodes
     set to phi, in place."""
     u = GridFunction(prob.grid, values)
-    phi = grid_mod.sample_expression(prob.phi, prob.grid)
     bmask = prob.grid.boundary_mask()
-    u.values[bmask] = phi.values[bmask]
+    u.values[bmask] = _sample_data(prob, "phi").values[bmask]
     return u
 
 
@@ -607,10 +613,9 @@ def _solve_levels(prob, stages, levels):
 
     The continuation runs on the coarsest problem of the chain; each finer
     level starts Newton at t = 1 from the transferred solution of the level
-    below, its boundary reset to phi.  Any failure on the way up, a start
-    that is not admissible or where psi faults included, is followed by
-    one continuation from the subsolution on the target grid.  With a
-    single level the failure propagates.
+    below, its boundary reset to phi.  Any failure on the way up (see
+    _FAILURES) is followed by one continuation from the subsolution on
+    the target grid.  With a single level the failure propagates.
     """
     chain = [prob]
     while (coarse := _coarse_problem(chain[-1])) is not None:

@@ -29,7 +29,7 @@ _MAX_ORACLE_DIM = 8
 
 def sigma_bruteforce(lam, k):
     """sigma_k by explicit enumeration of k-subsets; the oracle for the
-    recurrence-based production path.  Guarded to n <= 8."""
+    recurrence in ``symfun.sigma_all``.  Guarded to n <= 8."""
     lam = np.asarray(lam, dtype=float)
     n = lam.shape[-1]
     if lam.ndim != 1:
@@ -193,8 +193,7 @@ def run_diagnostics(u, prob):
         psi_z_positive = bool(np.min(psi_z) > 0.0)
 
     if psi_z_positive:
-        sub_gf = grid_mod.sample_expression(prob.subsolution, g)
-        diff = u.values - sub_gf.values
+        diff = u.values - _sample_data(prob, "subsolution").values
         comp_flat = int(np.argmin(diff))
         comparison_node = tuple(int(i) for i in np.unravel_index(comp_flat, g.shape))
         comparison_deficit = float(diff.reshape(-1)[comp_flat])
@@ -255,17 +254,16 @@ def selftest(seed=0):
                 worst = max(worst, abs(table[k] - ref) / max(1.0, abs(ref)))
     check("sigma recurrence vs subset enumeration", worst <= 1e-12, f"max rel err {worst:.2e}")
 
-    # deletion identity and partial-sum identity
+    # deletion identity sigma_k = sigma_k(lam|i) + lam_i sigma_{k-1}(lam|i),
+    # read through the shipped partials sigma_{j-1}(lam|i)
     worst = 0.0
     for n in range(2, 7):
         lams = symfun.sample_cone(rng, n, 1, 200)
         tables = symfun.sigma_all(lams)
         for k in range(1, n + 1):
             for i in range(n):
-                sub = np.delete(lams, i, axis=1)
-                subtab = symfun._sigma_table(sub)
-                ski = subtab[:, k] if k <= n - 1 else np.zeros(len(lams))
-                rec = ski + lams[:, i] * subtab[:, k - 1]
+                ski = symfun.sigma_partial(lams, k + 1, i) if k < n else 0.0
+                rec = ski + lams[:, i] * symfun.sigma_partial(lams, k, i)
                 worst = max(
                     worst,
                     float(np.max(np.abs(rec - tables[:, k]) / np.maximum(1.0, np.abs(tables[:, k])))),
@@ -348,32 +346,18 @@ def selftest(seed=0):
         "sqrt(u^2 + p2^2)*sin(x1)",
         "cos(x2)/(1 + u^2)",
     ]
+
+    def env(v):  # a state v = (x1, x2, u, p1, p2)
+        return expr_mod.EvalEnv(x=v[:2], u=v[2], p=v[3:])
+
     worst = 0.0
     for text in texts:
         tree = expr_mod.parse(text, 2)
         for _ in range(5):
-            x = rng.uniform(0.5, 1.5, 2)
-            uval = rng.uniform(0.5, 1.5)
-            p = rng.uniform(0.5, 1.5, 2)
-            for var in ("x1", "u", "p1"):
-                d = expr_mod.differentiate(tree, var)
-                env = expr_mod.EvalEnv(x=x, u=uval, p=p)
-                exact = float(expr_mod.evaluate(d, env))
-                h = 1e-6
-
-                def shifted(delta):
-                    xx, uu, pp = x.copy(), uval, p.copy()
-                    if var[0] == "x":
-                        xx[int(var[1:]) - 1] += delta
-                    elif var == "u":
-                        uu += delta
-                    else:
-                        pp[int(var[1:]) - 1] += delta
-                    return float(
-                        expr_mod.evaluate(tree, expr_mod.EvalEnv(x=xx, u=uu, p=pp))
-                    )
-
-                fd = (shifted(h) - shifted(-h)) / (2.0 * h)
+            v = rng.uniform(0.5, 1.5, 5)
+            for var, i in (("x1", 0), ("u", 2), ("p1", 3)):
+                exact = float(expr_mod.evaluate(expr_mod.differentiate(tree, var), env(v)))
+                fd = central_difference(lambda w: float(expr_mod.evaluate(tree, env(w))), v, i)
                 worst = max(worst, abs(fd - exact) / max(1.0, abs(exact)))
     check("expression derivatives vs finite differences", worst <= 1e-6, f"max rel err {worst:.2e}")
 

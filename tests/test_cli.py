@@ -356,6 +356,23 @@ def test_solver_failure_exits_one(tmp_path, capsys):
     assert report["stages"][-1]["t"] < 1.0
 
 
+def test_coarse_sampling_fault_falls_back_to_the_target_grid(tmp_path, capsys):
+    # exp overflows to +inf only where x1 = 0.5: no node of the res-48 grid,
+    # but a node of its res-25 and res-13 coarse grids
+    data = "(x1^2 + x2^2)/2 + exp(10000000*(0.0001 - (x1 - 0.5)^2))"
+    cfg = _base_config(
+        tmp_path, n=2, k=2, l=0, psi="0.5", phi=data, subsolution=data,
+        domain={"lo": [0, 0], "hi": [1, 1], "resolution": 48},
+    )
+    path = _write(tmp_path, "c.cfg", cfg)
+    assert _run(path) == 2  # psi_z = 0 is a warning
+    assert "Traceback" not in capsys.readouterr().err
+    report = json.loads((tmp_path / "out.json").read_text())
+    assert report["converged"] is True
+    assert report["levels"] == [{"res": 48, "fallback": "ProblemSpecError"}]
+    assert {s["res"] for s in report["stages"]} == {48}
+
+
 def test_flag_overrides(tmp_path):
     cfg = _base_config(tmp_path)
     del cfg["out"]

@@ -43,6 +43,18 @@ def test_grid_validation():
         Grid(n=2, lo=(0, 1), hi=(1, 1), res=9)
 
 
+@pytest.mark.parametrize("field, n, res", [("res", 2, 9.0), ("n", 2.0, 9), ("res", 2, "9")])
+def test_grid_rejects_non_integer_fields(field, n, res):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        Grid(n, (0, 0), (1, 1), res)
+
+
+def test_grid_takes_numpy_integers():
+    g = Grid(np.int64(2), (0, 0), (1, 1), np.int32(9))
+    assert (type(g.n), type(g.res)) == (int, int)
+    assert g == _grid2(9) and g.rows.shape == (9, 9)
+
+
 def test_gradient_exact_on_linear():
     g = _grid3()
     u = sample_expression(expr_mod.parse("x1", 3), g)

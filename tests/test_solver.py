@@ -1,4 +1,7 @@
 import logging
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -445,6 +448,17 @@ def test_homotopy_rhs_field_is_the_solvers_t0_forcing(monkeypatch):
     assert np.array_equal(newton_stage(start, 0.0, prob).values, start.values)
 
 
+def test_psi_derivatives_follow_a_reassigned_psi():
+    prob = _continuation2d(9)
+    prob.psi = expr_mod.parse("1 + u^2 + p1", 2)
+    x = prob.grid.interior_coords()[:3]
+    u = np.array([0.5, 1.0, 2.0])
+    psi, psi_z, psi_p = prob.psi_terms(x, u, np.zeros((3, 2)))
+    assert np.array_equal(psi, 1.0 + u**2)
+    assert np.array_equal(psi_z, 2.0 * u)
+    assert np.array_equal(psi_p, [[1.0, 0.0]] * 3)
+
+
 def test_validate_builds_each_exact_derivative_once(monkeypatch):
     # 3 first and 6 second derivatives of the subsolution; the gradient
     # and Hessian samplers each built the first ones, 12 calls in all
@@ -524,6 +538,19 @@ def test_line_search_halves_an_overflowing_trial(monkeypatch):
     assert steps[:2] == [1.0, 0.5]
     # trials minus accepted Newton steps: the poisoned trial is a backtrack
     assert len(steps) - sum(s.newton_iters for s in report.stages) >= 1
+
+
+def test_import_leaves_the_lu_module_unloaded():
+    # scipy.sparse.linalg is imported by the LU fallback when it is reached;
+    # older scipy releases import it with scipy.sparse itself
+    code = (
+        "import sys, scipy.sparse; before = 'scipy.sparse.linalg' in sys.modules; "
+        "import hessquot; print(before, 'scipy.sparse.linalg' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    before, after = out.stdout.split()
+    assert after == before
 
 
 def test_linear_solve_identity():
