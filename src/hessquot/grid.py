@@ -9,12 +9,11 @@ sparse systems, row-major (C order), and each boundary node with -1.
 The discretization is stated once, in ``Grid.stencils``: the 3-point
 second difference on the Hessian diagonal and the 4-point cross off it
 (both exact on quadratics), and central differences for the gradient.
-Stencil Hessians, gradients, the Jacobian and its sparsity pattern all
-read that table; only the pointwise ``fd_*`` reference keeps its own
-copy.  Each grid builds its Jacobian pattern once (row pointers, column
-indices and the data slot of every stencil offset at every node);
-assembly accumulates per-offset weight arrays and fills the matrix data
-with one gather through that pattern.
+Stencil Hessians, gradients and the Jacobian all read that table; only
+the pointwise ``fd_*`` reference keeps its own copy.  The Jacobian is its
+stencil diagonals: assembly accumulates one weight array per stencil
+offset and stores each, shifted by its flat row-major offset, as one
+diagonal of a scipy DIA matrix.
 
 Problem expressions are sampled through ``expr.evaluate_batch``: at
 every node by ``sample_expression``, and with exact symbolic first and
@@ -179,11 +178,14 @@ class Grid:
         return Stencils(hessian, gradient)
 
     @cached_property
-    def jacobian_pattern(self):
-        """CSR structure shared by every Jacobian assembled on this grid."""
+    def jacobian_offsets(self):
+        """The Jacobian's diagonals: each offset ``stencils`` uses (9 in 2-D,
+        19 in 3-D) with its flat row-major offset on the interior nodes,
+        sorted, so the flat offsets ascend too."""
         used = [*self.stencils.hessian.values(), *self.stencils.gradient]
-        offsets = sorted({o for _, terms in used for o, _ in terms})
-        return _StencilPattern(offsets, self.rows)
+        strides = [(self.res - 2) ** (self.n - 1 - a) for a in range(self.n)]
+        return tuple((o, sum(map(operator.mul, o, strides)))
+                     for o in sorted({o for _, terms in used for o, _ in terms}))
 
     @cached_property
     def sine_basis(self):
@@ -241,32 +243,6 @@ def _sine_transform(v, S, n):
     return v.reshape(-1)
 
 
-class _StencilPattern:
-    """Fixed CSR pattern of the interior Jacobian, read off ``Grid.rows``.
-
-    ``offsets`` are the ones ``Grid.stencils`` uses (9 in 2-D, 19 in 3-D),
-    sorted, so columns increase within a row.  Column k of ``cols``
-    (N_int, K) holds the neighbour rows ``_shifted(rows, offsets[k])``; its
-    entries >= 0, in row-major order, are the CSR entries.  Assembly
-    accumulates one weight array per offset into a (K, N_int) block W;
-    ``W.reshape(-1)[gather]`` is then the CSR data.  Weights whose
-    neighbor is a boundary node have no slot and are not gathered.
-    """
-
-    def __init__(self, offsets, rows):
-        self.offsets = offsets
-        self.slot = {o: k for k, o in enumerate(self.offsets)}
-        cols = np.stack([_shifted(rows, o).reshape(-1) for o in offsets], axis=-1)
-        valid = cols >= 0
-        row, k_idx = np.nonzero(valid)
-        dtype = np.int32 if row.size < 2**31 else np.int64
-        self.indptr = np.concatenate(([0], np.cumsum(valid.sum(axis=1)))).astype(dtype)
-        self.indices = cols[valid].astype(dtype, copy=False)
-        self.gather = k_idx * len(cols) + row
-        for arr in (self.indptr, self.indices, self.gather):
-            arr.flags.writeable = False
-
-
 @dataclass
 class GridFunction:
     """Real values on every node of a grid."""
@@ -293,7 +269,7 @@ class GridFunction:
 
 @dataclass
 class SparseSystem:
-    """Row-compressed Jacobian over interior nodes plus right-hand side.
+    """Jacobian over interior nodes plus right-hand side.
 
     ``grid`` is the grid whose interior nodes the rows enumerate, when the
     system was assembled on one (``assemble_jacobian`` sets it); it lets
@@ -301,7 +277,7 @@ class SparseSystem:
     for systems that carry no grid structure.
     """
 
-    matrix: sparse.csr_matrix
+    matrix: sparse.spmatrix
     rhs: np.ndarray
     grid: Grid | None = None
 
@@ -555,9 +531,12 @@ def assemble_jacobian(u, prob, t, psi0=None, state=None):
     for the gradient along a; -t * psi_z(p) goes on the diagonal.  Stencil
     neighbors on the boundary carry no unknowns; their pinned values
     already live in the residual, which is returned negated as the
-    right-hand side.  Given ``state``, the (residual, fields) of u's
-    ``_residual_state`` at t, it evaluates nothing at u; otherwise it
-    evaluates that state with the t = 0 forcing psi0.
+    right-hand side.  The matrix is a ``scipy.sparse.dia_matrix`` with one
+    diagonal per ``Grid.jacobian_offsets`` entry, in ascending order, so a
+    product adds each row's terms in column order, as a CSR row sum does.
+    Given ``state``, the (residual, fields) of u's ``_residual_state`` at
+    t, it evaluates nothing at u; otherwise it evaluates that state with
+    the t = 0 forcing psi0.
     """
     grid = prob.grid
     spec = prob.quotient
@@ -570,8 +549,17 @@ def assemble_jacobian(u, prob, t, psi0=None, state=None):
     # chain rule through the self-adjoint map U = tau*tr(H)*I - H
     Q = eta_components(fields.gradient(spec), spec.tau, grid.n)
 
-    pattern = grid.jacobian_pattern
-    W = np.zeros((len(pattern.offsets), nint))
+    # DIA stores A[p, p + f] at data[k, p + f], for the k-th flat offset f.
+    # W[o], the weights of offset o, is the length-N window of buf that
+    # starts at data[k, f], so W[o][p] is A[p, p + f] and each weight is
+    # written in place.  A window reaches at most F = max |f| cells past
+    # either end of data[k, :N], into cells DIA ignores: each data row ends
+    # in 2F spare columns, and buf holds F cells before data.
+    diagonals = grid.jacobian_offsets
+    spare = max(abs(f) for _, f in diagonals)
+    width = nint + 2 * spare
+    buf = np.zeros(spare + len(diagonals) * width)
+    W = {o: buf[spare + k * width + f:][:nint] for k, (o, f) in enumerate(diagonals)}
 
     def add(q, stencil):
         # q / d scaled by coef: the bits of q * coef / d, since every
@@ -580,7 +568,7 @@ def assemble_jacobian(u, prob, t, psi0=None, state=None):
         divisor, terms = stencil
         w = q / divisor
         for offset, coef in terms:
-            row = W[pattern.slot[offset]]
+            row = W[offset]
             if coef == 1.0:
                 row += w
             elif coef == -1.0:
@@ -591,15 +579,20 @@ def assemble_jacobian(u, prob, t, psi0=None, state=None):
     for q, ((a, b), stencil) in zip(Q, grid.stencils.hessian.items()):
         add(q if a == b else 2.0 * q, stencil)
     if t != 0.0:
-        W[pattern.slot[(0,) * grid.n]] -= t * fields.psi_z
+        W[(0,) * grid.n] -= t * fields.psi_z
         if fields.psi_p.any():
             for a, stencil in enumerate(grid.stencils.gradient):
                 add(-t * fields.psi_p[:, a], stencil)
 
-    matrix = sparse.csr_matrix(
-        (W.reshape(-1)[pattern.gather], pattern.indices, pattern.indptr),
-        shape=(nint, nint),
-    )
+    # Zero each weight whose neighbour is a boundary node: it has no column,
+    # and its cell is a spare one or another node's (a wrap-around).
+    for o, row in W.items():
+        row = row.reshape(grid.interior_shape)
+        for a, s in enumerate(o):
+            if s:
+                row[(slice(None),) * a + (-1 if s > 0 else 0,)] = 0.0
+    data = buf[spare:].reshape(len(diagonals), width)
+    matrix = sparse.dia_matrix((data, [f for _, f in diagonals]), shape=(nint, nint))
     return SparseSystem(matrix=matrix, rhs=-r, grid=grid)
 
 

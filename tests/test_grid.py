@@ -303,7 +303,7 @@ def test_jacobian_first_order_terms_respond_to_psi(rng):
 def _reference_jacobian(u, prob, t):
     """Masked-gather COO assembly of the Jacobian, converted to CSR.
 
-    The reference the fixed-pattern assembly is compared against: every
+    The reference the diagonal assembly is compared against: every
     stencil weight is scattered with explicit row/column index arrays and
     duplicates are summed by the COO -> CSR conversion.
     """
@@ -371,27 +371,54 @@ def _reference_jacobian(u, prob, t):
     ).tocsr()
 
 
-def test_fixed_pattern_assembly_matches_reference(rng):
+def _assembly_problems():
     # at res 5 every interior node but the centre touches the boundary
-    for prob in (
+    return (
         _gradient_problem_2d(5),
         _gradient_problem_2d(7),
         _first_order_problem_3d(5),
         _first_order_problem_3d(7),
         _first_order_problem_3d(7, UNEQUAL_BOX),
-    ):
-        pattern = prob.grid.jacobian_pattern
-        assert pattern.indptr.dtype == np.int32
-        assert pattern.indices.dtype == np.int32
-        assert pattern.gather.dtype == np.intp
+    )
+
+
+def test_fixed_pattern_assembly_matches_reference(rng):
+    for prob in _assembly_problems():
         u = _perturbed_subsolution(prob, rng)
         psi0 = homotopy_rhs_field(prob)
         for t in (0.0, 1.0):
             got = assemble_jacobian(u, prob, t, psi0=psi0).matrix
             ref = _reference_jacobian(u, prob, t)
-            assert np.array_equal(got.indptr, ref.indptr)
-            assert np.array_equal(got.indices, ref.indices)
-            assert np.allclose(got.data, ref.data, rtol=1e-14, atol=0.0)
+            # dense, so every entry off the stencil, a wrapped boundary
+            # weight's position included, must be exactly zero
+            assert np.allclose(got.toarray(), ref.toarray(), rtol=1e-14, atol=0.0)
+
+
+def test_jacobian_diagonals_keep_row_sum_order(rng):
+    # The stored diagonals are the stencil offsets, flattened and ascending,
+    # so a product adds each row's terms in the CSR row sum's column order;
+    # no stored weight lies off the stencil (a boundary weight wrapped onto
+    # another row would).
+    for prob in _assembly_problems():
+        g = prob.grid
+        m, n = g.res - 2, g.n
+        used = [*g.stencils.hessian.values(), *g.stencils.gradient]
+        offsets = {o for _, terms in used for o, _ in terms}
+        u = _perturbed_subsolution(prob, rng)
+        J = assemble_jacobian(u, prob, 1.0, psi0=homotopy_rhs_field(prob)).matrix
+        strides = m ** np.arange(n - 1, -1, -1)
+        assert J.offsets.tolist() == sorted(int(np.dot(o, strides)) for o in offsets)
+        x = rng.standard_normal(g.num_interior)
+        assert np.array_equal(J @ x, J.tocsr() @ x)
+
+        ids = np.arange(g.num_interior)
+        multi = np.stack(np.unravel_index(ids, g.interior_shape), axis=-1)
+        stencil = np.zeros(J.shape, dtype=bool)
+        for o in offsets:
+            nb = multi + np.asarray(o)
+            ok = np.all((nb >= 0) & (nb < m), axis=-1)
+            stencil[ids[ok], np.ravel_multi_index(nb[ok].T, g.interior_shape)] = True
+        assert not J.toarray()[~stencil].any()
 
 
 def test_jacobian_row_sparsity():
@@ -399,7 +426,7 @@ def test_jacobian_row_sparsity():
     u = sample_expression(prob.subsolution, prob.grid)
     sys_ = assemble_jacobian(u, prob, 1.0, psi0=homotopy_rhs_field(prob))
     assert sys_.matrix.shape == (prob.grid.num_interior, prob.grid.num_interior)
-    assert np.diff(sys_.matrix.indptr).max() <= 3**3
+    assert np.diff(sys_.matrix.tocsr().indptr).max() <= 3**3
 
 
 def test_field_forcing_path():
