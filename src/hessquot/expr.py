@@ -20,8 +20,8 @@ differentiation total.
 Trees are immutable; evaluation is pure and accepts numpy arrays in the
 environment, broadcasting elementwise.  A domain fault or a NaN value
 raises DomainFaultError; evaluation never returns NaN.  Problem data
-reaches the solver through ``evaluate_batch``, one float per point of a
-batch.
+reaches the solver through ``evaluate_batch`` on grid axes, so a subtree
+of x alone is computed on the few axis values it reads.
 """
 
 import re
@@ -92,9 +92,9 @@ class Call:
 
 @dataclass(frozen=True)
 class EvalEnv:
-    """Point data for evaluation: coordinates x (length n along the last
-    axis), scalar field value u, gradient values p.  u and p may be None
-    for expressions that do not use them."""
+    """Point data, component first: x and p hold n arrays (x_a is x[a-1])
+    that broadcast against each other and against the field value u.  u
+    and p may be None for expressions that do not use them."""
 
     x: object
     u: object = None
@@ -263,11 +263,11 @@ def _lookup(name, env):
     source = env.x if kind == "x" else env.p
     if source is None:
         raise ExprError(f"expression uses '{name}' but the environment has no {kind}")
-    return np.asarray(source, dtype=float)[..., idx]
+    return np.asarray(source[idx], dtype=float)
 
 
 def _first_bad(values, mask):
-    return np.asarray(values, dtype=float)[mask].flat[0]
+    return np.broadcast_to(np.asarray(values, dtype=float), np.shape(mask))[mask].flat[0]
 
 
 def evaluate(e, env):
@@ -284,11 +284,11 @@ def evaluate(e, env):
     return value
 
 
-def evaluate_batch(e, env):
-    """``evaluate`` at the batch of points env.x (count, n): a float array
-    of shape (count,), read-only, also for a tree that reads no batched
-    variable."""
-    return np.broadcast_to(evaluate(e, env), env.x.shape[:1])
+def evaluate_batch(e, env, shape):
+    """``evaluate`` broadcast to ``shape``, the shape the arrays of env
+    broadcast to: a read-only float array, also for a tree that reads
+    none of them."""
+    return np.broadcast_to(evaluate(e, env), shape)
 
 
 def _eval(e, env):

@@ -15,10 +15,11 @@ stencil diagonals: assembly accumulates one weight array per stencil
 offset and stores each, shifted by its flat row-major offset, as one
 diagonal of a scipy DIA matrix.
 
-Problem expressions are sampled through ``expr.evaluate_batch``: at
-every node by ``sample_expression``, and with exact symbolic first and
-second derivatives at given points (the interior nodes) by
-``exact_derivatives``, the one exact sampler.
+Problem expressions are sampled through ``expr.evaluate_batch`` on the
+node axes of ``Grid.axes``, the one coordinate representation: at every
+node by ``sample_expression``, and with exact symbolic first and second
+derivatives at the interior nodes by ``exact_derivatives``, the one
+exact sampler.  Gradients are component first, (n, N), like Hessians.
 
 Hessians are held as structure of arrays: the n(n+1)/2 unique components
 H_ab, a <= b, each a contiguous length-N row of a (C, N) array, in the
@@ -109,22 +110,15 @@ class Grid:
     def num_interior(self):
         return (self.res - 2) ** self.n
 
-    def coords(self):
-        """Coordinates of every node, shape grid.shape + (n,)."""
-        axes = [np.linspace(a, b, self.res) for a, b in zip(self.lo, self.hi)]
-        return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-
-    def interior_coords(self):
-        """Coordinates of interior nodes, row-major, shape (N_int, n);
-        cached, read-only."""
-        return self._interior_coords
-
-    @cached_property
-    def _interior_coords(self):
-        axes = [np.linspace(a, b, self.res)[1:-1] for a, b in zip(self.lo, self.hi)]
-        x = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, self.n)
-        x.flags.writeable = False
-        return x
+    def axes(self, interior=False):
+        """The node coordinates x_1..x_n, x_a shaped to broadcast along
+        dimension a: (res, 1, 1), (1, res, 1), ... in 3-D; with
+        ``interior``, res - 2 nodes per axis, broadcasting to interior_shape."""
+        cut = slice(1, -1) if interior else slice(None)
+        return [
+            np.linspace(lo, hi, self.res)[cut].reshape((1,) * a + (-1,) + (1,) * (self.n - 1 - a))
+            for a, (lo, hi) in enumerate(zip(self.lo, self.hi))
+        ]
 
     @cached_property
     def rows(self):
@@ -263,8 +257,8 @@ class GridFunction:
         return GridFunction(self.grid, self.values.copy())
 
     def interior(self):
-        core = (slice(1, -1),) * self.grid.n
-        return self.values[core].reshape(-1)
+        """The values at the interior nodes, interior_shape; a view."""
+        return self.values[(slice(1, -1),) * self.grid.n]
 
 
 @dataclass
@@ -284,9 +278,8 @@ class SparseSystem:
 
 def sample_expression(e, grid):
     """Evaluate an expression of x at every node."""
-    env = expr_mod.EvalEnv(x=grid.coords().reshape(-1, grid.n))
-    values = expr_mod.evaluate_batch(e, env)
-    return GridFunction(grid, values.reshape(grid.shape).copy())
+    values = expr_mod.evaluate_batch(e, expr_mod.EvalEnv(x=grid.axes()), grid.shape)
+    return GridFunction(grid, values.copy())
 
 
 def _require_interior(grid, node):
@@ -370,9 +363,12 @@ def _apply(values, stencil, out=None):
 
 @np.errstate(over="ignore", invalid="ignore")  # the cone rule reports overflow
 def interior_gradients(values, grid):
-    """Central-difference gradients at all interior nodes, shape (N_int, n)."""
-    cols = [_apply(values, s).reshape(-1) for s in grid.stencils.gradient]
-    return np.stack(cols, axis=-1)
+    """Central-difference gradients at all interior nodes, shape (n, N_int):
+    row a is du/dx_a."""
+    P = np.empty((grid.n, grid.num_interior))
+    for row, stencil in zip(P, grid.stencils.gradient):
+        _apply(values, stencil, out=row.reshape(grid.interior_shape))
+    return P
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the cone rule reports overflow
@@ -501,9 +497,7 @@ def _residual_state(u, prob, t, psi0):
     forcing = np.asarray(psi0, dtype=float)
     if t != 0.0:
         p = interior_gradients(u.values, grid)
-        psi, fields.psi_z, fields.psi_p = prob.psi_terms(
-            grid.interior_coords(), u.interior(), p
-        )
+        psi, fields.psi_z, fields.psi_p = prob.psi_terms(u.interior(), p)
         forcing = t * psi + (1.0 - t) * forcing
     return fields.values - forcing, fields
 
@@ -582,7 +576,7 @@ def assemble_jacobian(u, prob, t, psi0=None, state=None):
         W[(0,) * grid.n] -= t * fields.psi_z
         if fields.psi_p.any():
             for a, stencil in enumerate(grid.stencils.gradient):
-                add(-t * fields.psi_p[:, a], stencil)
+                add(-t * fields.psi_p[a], stencil)
 
     # Zero each weight whose neighbour is a boundary node: it has no column,
     # and its cell is a spare one or another node's (a wrap-around).
@@ -596,39 +590,36 @@ def assemble_jacobian(u, prob, t, psi0=None, state=None):
     return SparseSystem(matrix=matrix, rhs=-r, grid=grid)
 
 
-def exact_derivatives(e, x):
-    """Symbolic gradient (N, n) and Hessian components (C, N), in
-    ``_pairs`` order, of an expression of x, sampled at the points x
-    (N, n), such as ``Grid.interior_coords()``.  Each first derivative is
-    built once and differentiated again for its Hessian row."""
-    env = expr_mod.EvalEnv(x=x)
-    n = x.shape[1]
+def exact_derivatives(e, grid):
+    """Symbolic gradient (n, N) and Hessian components (C, N), in
+    ``_pairs`` order, of an expression of x at the N interior nodes of
+    grid.  Each first derivative is built once and differentiated again
+    for its Hessian row."""
+    n, shape = grid.n, grid.interior_shape
+    env = expr_mod.EvalEnv(x=grid.axes(interior=True))
     slot = {pair: c for c, pair in enumerate(_pairs(n))}
-    P = np.empty(x.shape)
-    H = np.empty((len(slot), x.shape[0]))
+    P = np.empty((n, *shape))
+    H = np.empty((len(slot), *shape))
     for a in range(n):
         da = expr_mod.differentiate(e, f"x{a + 1}")
-        P[:, a] = expr_mod.evaluate_batch(da, env)
+        P[a] = expr_mod.evaluate_batch(da, env, shape)
         for b in range(a, n):
             dab = expr_mod.differentiate(da, f"x{b + 1}")
-            H[slot[a, b]] = expr_mod.evaluate_batch(dab, env)
-    return P, H
+            H[slot[a, b]] = expr_mod.evaluate_batch(dab, env, shape)
+    return P.reshape(n, -1), H.reshape(len(slot), -1)
 
 
 def csv_lines(u):
     """Rows of the grid CSV: indices, coordinates, value; row-major order.
 
-    Each axis's index and coordinate strings (those of ``Grid.coords``)
+    Each axis's index and coordinate strings (those of ``Grid.axes``)
     are formatted once; a line of nodes along the last axis shares the
     prefix of the leading axes."""
     grid = u.grid
     n, res = grid.n, grid.res
     yield ",".join([*"ijk"[:n], *(f"x{a + 1}" for a in range(n)), "u"])
     index = [f"{i}," for i in range(res)]
-    axes = [
-        [f"{c!r}," for c in np.linspace(lo, hi, res).tolist()]
-        for lo, hi in zip(grid.lo, grid.hi)
-    ]
+    axes = [[f"{c!r}," for c in x.ravel().tolist()] for x in grid.axes()]
     heads, coords = [""], [""]
     for axis in axes[:-1]:
         heads = [h + i for h in heads for i in index]

@@ -105,10 +105,12 @@ class PsiField:
         if self.values.ndim != 1:
             raise ValueError("field forcing must be a flat interior vector")
 
-    def terms(self, x, u, p):
-        if self.values.shape[0] != x.shape[0]:
+    def terms(self, u, p):
+        """``ProblemSpec.psi_terms`` at the interior block u and the
+        gradients p (n, N): the values and zero partials."""
+        if self.values.shape[0] != u.size:
             raise ValueError("field forcing length does not match interior size")
-        return self.values, np.zeros(x.shape[0]), np.zeros(x.shape)
+        return self.values, np.zeros(u.size), np.zeros(p.shape)
 
 
 @dataclass
@@ -160,19 +162,23 @@ class ProblemSpec:
         q = self.quotient
         return q.n == 2 and (q.k, q.l) == (2, 0)
 
-    def psi_terms(self, x, u, p):
-        """(psi, d psi/du, d psi/dp) at N states x (N, n), u (N,), p (N, n).
+    def psi_terms(self, u, p):
+        """(psi, d psi/du, d psi/dp) at the N interior nodes of the grid,
+        given u there as the interior block (interior_shape) and the
+        gradients p (n, N); x is read from the grid.
 
-        The shapes are (N,), (N,) and (N, n), for an expression and a
+        The shapes are (N,), (N,) and (n, N), for an expression and a
         PsiField alike; an expression that faults or gives NaN raises
         DomainFaultError."""
         if self.field_psi:
-            return self.psi.terms(x, u, p)
-        env = expr_mod.EvalEnv(x=x, u=u, p=p)
+            return self.psi.terms(u, p)
+        shape = self.grid.interior_shape
+        env = expr_mod.EvalEnv(x=self.grid.axes(interior=True), u=u, p=p.reshape(-1, *shape))
         psi, psi_z, *psi_p = (
-            expr_mod.evaluate_batch(d, env) for d in (self.psi, self._psi_z, *self._psi_p)
+            expr_mod.evaluate_batch(d, env, shape).reshape(-1)
+            for d in (self.psi, self._psi_z, *self._psi_p)
         )
-        return psi, psi_z, np.stack(psi_p, axis=-1)
+        return psi, psi_z, np.stack(psi_p)
 
 
 @dataclass
@@ -244,8 +250,7 @@ def validate_problem(prob):
     # exact symbolic derivatives of the subsolution, not stencils: the
     # inequality is a statement about the function, and stencil error
     # would swamp the 1e-8 slack on coarse grids
-    x = g.interior_coords()
-    pb, H = grid_mod.exact_derivatives(prob.subsolution, x)
+    pb, H = grid_mod.exact_derivatives(prob.subsolution, g)
     try:
         fvals = grid_mod.hessian_fields(H, g, prob.quotient).values
     except NotAdmissibleError as err:
@@ -253,7 +258,7 @@ def validate_problem(prob):
             f"subsolution is not admissible at node {err.node} ({err.reason})"
         ) from err
 
-    psi, psi_z, _ = prob.psi_terms(x, sub_gf.interior(), pb)
+    psi, psi_z, _ = prob.psi_terms(sub_gf.interior(), pb)
     # the checks below pass a NaN (every comparison is false) and a -inf
     if not np.all(np.isfinite(psi)):
         row = int(np.argmin(np.isfinite(psi)))

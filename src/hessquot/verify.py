@@ -66,7 +66,7 @@ def manufactured_problem(ustar, grid, spec, subsolution=None):
     different ``subsolution`` expression starts the continuation elsewhere
     on the same problem.  Returns the problem and the exact nodal values.
     """
-    _, H = grid_mod.exact_derivatives(ustar, grid.interior_coords())
+    _, H = grid_mod.exact_derivatives(ustar, grid)
     psi = PsiField(grid_mod.hessian_fields(H, grid, spec).values)
     prob = ProblemSpec(
         grid=grid,
@@ -183,7 +183,7 @@ def run_diagnostics(u, prob):
     lap_row = int(np.argmin(lap))
 
     p = grid_mod.interior_gradients(u.values, g)
-    psi, psi_z, _ = prob.psi_terms(g.interior_coords(), u.interior(), p)
+    psi, psi_z, _ = prob.psi_terms(u.interior(), p)
     psi_row = int(np.argmin(psi))
     psi_min = float(psi[psi_row])
 

@@ -1,7 +1,8 @@
 """Shared helpers for the test suite: batched cone sampling, admissible
 matrix construction, the list of valid operator parameter triples, an
-iterate whose sigma table overflows at one node, and conversions between
-(N, n, n) matrix stacks and the grid kernel's (C, N) components."""
+iterate whose sigma table overflows at one node, conversions between
+(N, n, n) matrix stacks and the grid kernel's (C, N) components, and the
+(N, n) point array of a grid's broadcast axes."""
 
 import numpy as np
 import pytest
@@ -65,6 +66,11 @@ def to_stack(A, n):
     for row, (a, b) in zip(A, _pairs(n)):
         out[:, a, b] = out[:, b, a] = row
     return out
+
+
+def points(axes):
+    """The (N, n) node coordinates, row-major, of the axes of ``Grid.axes``."""
+    return np.stack(np.broadcast_arrays(*axes), axis=-1).reshape(-1, len(axes))
 
 
 @pytest.fixture

@@ -75,7 +75,7 @@ def test_evaluate_examples():
 
 def test_evaluate_broadcasts_arrays():
     tree = parse("x1*x2 + u", 2)
-    x = np.array([[1.0, 2.0], [3.0, 4.0]])
+    x = np.array([[1.0, 3.0], [2.0, 4.0]])  # x1 and x2 at two points
     u = np.array([10.0, 20.0])
     assert np.array_equal(evaluate(tree, EvalEnv(x=x, u=u)), [12.0, 32.0])
 

@@ -23,7 +23,7 @@ from hessquot.solver import ProblemSpec, PsiField, homotopy_rhs_field
 from hessquot.spectral import eta_transform, operator_gradient, sym_eig
 from hessquot.symfun import QuotientSpec
 
-from conftest import to_stack
+from conftest import points, to_stack
 
 
 def _grid3(res=9):
@@ -65,7 +65,7 @@ def test_gradient_exact_on_quadratic():
     g = _grid3()
     u = sample_expression(expr_mod.parse("x1^2 + x2^2 + x3^2", 3), g)
     node = (2, 5, 7)
-    x = g.coords()[node]
+    x = points(g.axes()).reshape(g.shape + (3,))[node]
     assert np.allclose(fd_gradient(u, node), 2 * x, rtol=1e-13)
 
 
@@ -74,8 +74,8 @@ def test_gradient_second_order_convergence():
     for res in (17, 33):
         g = Grid(n=2, lo=(0, 0), hi=(1, 1), res=res)
         u = sample_expression(expr_mod.parse("sin(x1)", 2), g)
-        exact = np.cos(g.interior_coords()[:, 0])
-        got = interior_gradients(u.values, g)[:, 0]
+        exact = np.cos(points(g.axes(interior=True))[:, 0])
+        got = interior_gradients(u.values, g)[0]
         errs.append(np.abs(got - exact).max())
     ratio = errs[0] / errs[1]
     assert 3.5 <= ratio <= 4.5
@@ -99,7 +99,7 @@ def test_hessian_second_order_convergence():
         g = Grid(n=2, lo=(0, 0), hi=(1, 1), res=res)
         u = sample_expression(expr_mod.parse("sin(x1)*sin(x2)", 2), g)
         H = to_stack(interior_hessians(u.values, g), 2)
-        x = g.interior_coords()
+        x = points(g.axes(interior=True))
         exact = np.empty_like(H)
         s1, s2 = np.sin(x[:, 0]), np.sin(x[:, 1])
         c1, c2 = np.cos(x[:, 0]), np.cos(x[:, 1])
@@ -149,7 +149,7 @@ def test_pointwise_and_vectorized_stencils_agree(rng):
         for node in nodes:
             row = np.ravel_multi_index(tuple(i - 1 for i in node), g.interior_shape)
             assert np.array_equal(fd_hessian(u, node), H[row])
-            assert np.array_equal(fd_gradient(u, node), P[row])
+            assert np.array_equal(fd_gradient(u, node), P[:, row])
 
 
 @pytest.mark.parametrize("k, l, tau", [(3, 1, 1.0), (2, 0, 1.5)])
@@ -350,18 +350,17 @@ def _reference_jacobian(u, prob, t):
                     o[b] = sb
                     add(o, qab * sa * sb / (4.0 * h[a] * h[b]))
     if t != 0.0:
-        x = grid.interior_coords()
         core = (slice(1, -1),) * n
         p = interior_gradients(u.values, grid)
-        _, psi_z, psi_p = prob.psi_terms(x, u.values[core].reshape(-1), p)
+        _, psi_z, psi_p = prob.psi_terms(u.values[core], p)
         center -= t * np.broadcast_to(psi_z, (nint,))
         if np.any(np.asarray(psi_p) != 0.0):
-            psi_p = np.broadcast_to(psi_p, (nint, n))
+            psi_p = np.broadcast_to(psi_p, (n, nint))
             for a in range(n):
                 for s in (1, -1):
                     o = [0] * n
                     o[a] = s
-                    add(o, -t * psi_p[:, a] * s / (2.0 * h[a]))
+                    add(o, -t * psi_p[a] * s / (2.0 * h[a]))
     rows.append(ids)
     cols.append(ids)
     data.append(center)
@@ -460,9 +459,9 @@ def test_csv_lines_layout():
 
 
 def _csv_reference(u):
-    # the grid CSV rows formatted node by node from Grid.coords
+    # the grid CSV rows formatted node by node from the point array
     g = u.grid
-    coords = g.coords().reshape(-1, g.n)
+    coords = points(g.axes())
     flat = u.values.reshape(-1)
     for row, idx in enumerate(np.ndindex(g.shape)):
         parts = [str(i) for i in idx] + [repr(float(c)) for c in coords[row]]
@@ -486,15 +485,98 @@ def test_csv_lines_match_a_per_node_reference(g, e):
 def test_exact_derivative_sampling():
     g = _grid2(7)
     e = expr_mod.parse("exp((x1^2 + x2^2)/4)", 2)
-    x = g.interior_coords()
+    x = points(g.axes(interior=True))
     vals = np.exp((x**2).sum(axis=1) / 4)
-    P, H = grid_mod.exact_derivatives(e, x)
-    H = to_stack(H, 2)
+    P, H = grid_mod.exact_derivatives(e, g)
+    P, H = P.T, to_stack(H, 2)
     assert np.allclose(P, 0.5 * x * vals[:, None], rtol=1e-12)
     expected = vals[:, None, None] * (
         0.5 * np.eye(2) + 0.25 * np.einsum("ni,nj->nij", x, x)
     )
     assert np.allclose(H, expected, rtol=1e-12)
+
+
+def _meshgrid_points(g, interior=False):
+    # the (N, n) point array of the grid's nodes, row-major, built with
+    # np.meshgrid: the point sampling the axis samplers must reproduce
+    cut = slice(1, -1) if interior else slice(None)
+    axes = [np.linspace(lo, hi, g.res)[cut] for lo, hi in zip(g.lo, g.hi)]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, g.n)
+
+
+def _on_points(e, x, u=None, p=None):
+    # e at the points x (N, n): the strided columns x[:, a] as x_a
+    value = expr_mod.evaluate(e, expr_mod.EvalEnv(x=x.T, u=u, p=p))
+    return np.broadcast_to(value, x.shape[:1])
+
+
+_AXIS_GRIDS = [_grid2(7), Grid(3, *UNEQUAL_BOX, 7)]
+
+
+@pytest.mark.parametrize("g", _AXIS_GRIDS, ids=["2d", "3d-unequal"])
+@pytest.mark.parametrize(
+    "text", ["sin(x2)", "2.5", "exp((x1^2 + x2^2)/4) - 0.3*x1*(1 - x1)*x2*(1 - x2)*cos(x{n})"]
+)
+def test_axis_sampling_equals_point_sampling(g, text):
+    e = expr_mod.parse(text.format(n=g.n), g.n)
+    u = sample_expression(e, g)
+    assert u.values.shape == g.shape and u.values.flags.writeable
+    assert np.array_equal(u.values.reshape(-1), _on_points(e, _meshgrid_points(g)))
+
+    x = _meshgrid_points(g, interior=True)
+    P, H = grid_mod.exact_derivatives(e, g)
+    for a in range(g.n):
+        da = expr_mod.differentiate(e, f"x{a + 1}")
+        assert np.array_equal(P[a], _on_points(da, x))
+        for c, (i, j) in enumerate(grid_mod._pairs(g.n)):
+            if i == a:
+                dab = expr_mod.differentiate(da, f"x{j + 1}")
+                assert np.array_equal(H[c], _on_points(dab, x))
+
+
+@pytest.mark.parametrize("g", _AXIS_GRIDS, ids=["2d", "3d-unequal"])
+@pytest.mark.parametrize("text", [
+    "0.5 + sin(x2)*exp(u - x1) + p1*p{n}*cos(x{n}) + sqrt(1 + x1^2 + p2^2)*log(2 + u^2)",
+    "sin(x2)",
+    "2.5",
+])
+def test_psi_terms_on_axes_equal_point_sampling(g, text, rng):
+    quad = expr_mod.parse(" + ".join(f"x{a + 1}^2" for a in range(g.n)), g.n)
+    prob = ProblemSpec(g, QuotientSpec(g.n, 2, 0), expr_mod.parse(text.format(n=g.n), g.n),
+                       quad, quad)
+    u = rng.normal(size=g.shape)
+    block = u[(slice(1, -1),) * g.n]
+    p = rng.normal(size=(g.n, g.num_interior))
+    psi, psi_z, psi_p = prob.psi_terms(block, p)
+    N = g.num_interior
+    assert (psi.shape, psi_z.shape, psi_p.shape) == ((N,), (N,), (g.n, N))
+    x, flat = _meshgrid_points(g, interior=True), block.reshape(-1)
+    assert np.array_equal(psi, _on_points(prob.psi, x, flat, p))
+    assert np.array_equal(psi_z, _on_points(expr_mod.differentiate(prob.psi, "u"), x, flat, p))
+    for a in range(g.n):
+        da = expr_mod.differentiate(prob.psi, f"p{a + 1}")
+        assert np.array_equal(psi_p[a], _on_points(da, x, flat, p))
+
+
+@pytest.mark.parametrize("g", _AXIS_GRIDS, ids=["2d", "3d-unequal"])
+@pytest.mark.parametrize("text", ["log(x1 - 0.5)", "sqrt(x2*x1 - 0.1)", "(x1 - 2)^x2"])
+def test_axis_sampling_reports_the_point_sampling_fault(g, text):
+    e = expr_mod.parse(text, g.n)
+    with pytest.raises(expr_mod.DomainFaultError) as ref:
+        _on_points(e, _meshgrid_points(g))
+    with pytest.raises(expr_mod.DomainFaultError) as err:
+        sample_expression(e, g)
+    assert (str(err.value), err.value.value) == (str(ref.value), ref.value.value)
+
+
+def test_domain_fault_witness_is_the_first_node():
+    with pytest.raises(expr_mod.DomainFaultError) as err:
+        sample_expression(expr_mod.parse("log(x1 - 0.5)", 2), _grid2(9))
+    assert str(err.value) == "log of non-positive value in 'log((x1-0.5))' (value -0.5)"
+    # a constant negative base under a fractional power of x
+    with pytest.raises(expr_mod.DomainFaultError, match="fractional power") as err:
+        sample_expression(expr_mod.parse("(0 - 2)^x1", 2), _grid2(9))
+    assert err.value.value == -2.0
 
 
 def test_laplacian_solve_inverts_dirichlet_laplacian(rng):

@@ -451,12 +451,13 @@ def test_homotopy_rhs_field_is_the_solvers_t0_forcing(monkeypatch):
 def test_psi_derivatives_follow_a_reassigned_psi():
     prob = _continuation2d(9)
     prob.psi = expr_mod.parse("1 + u^2 + p1", 2)
-    x = prob.grid.interior_coords()[:3]
-    u = np.array([0.5, 1.0, 2.0])
-    psi, psi_z, psi_p = prob.psi_terms(x, u, np.zeros((3, 2)))
+    g = prob.grid
+    u = np.resize([0.5, 1.0, 2.0], g.interior_shape)
+    psi, psi_z, psi_p = prob.psi_terms(u, np.zeros((2, g.num_interior)))
+    u = u.reshape(-1)
     assert np.array_equal(psi, 1.0 + u**2)
     assert np.array_equal(psi_z, 2.0 * u)
-    assert np.array_equal(psi_p, [[1.0, 0.0]] * 3)
+    assert np.array_equal(psi_p.T, [[1.0, 0.0]] * g.num_interior)
 
 
 def test_validate_builds_each_exact_derivative_once(monkeypatch):

@@ -19,7 +19,7 @@ from hessquot.verify import (
 )
 from hessquot.solver import solve_dirichlet
 
-from conftest import OVERFLOW_OCTIC
+from conftest import OVERFLOW_OCTIC, points
 
 QUAD3 = "(x1^2 + x2^2 + x3^2)/2"
 
@@ -56,7 +56,7 @@ def test_manufactured_quadratic_constant_forcing():
         prob, exact = manufactured_problem(ustar, g, spec)
         expected = spec.trace_lower_bound() * (tau * n - 1)
         assert np.allclose(prob.psi.values, expected, rtol=1e-13)
-        x = g.coords().reshape(-1, n)
+        x = points(g.axes())
         assert np.allclose(
             exact.values.reshape(-1), 0.5 * (x**2).sum(axis=1), rtol=1e-14
         )
