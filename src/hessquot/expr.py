@@ -17,15 +17,23 @@ functions exp, log, sin, cos, sqrt.  No abs/min/max/sign: the
 linearization needs C^1 data, and excluding non-smooth primitives keeps
 differentiation total.
 
-Trees are immutable; evaluation is pure and accepts numpy arrays in the
+Trees are immutable.  Evaluation compiles one or more trees to a
+``Program``: a straight-line program with one instruction per
+structurally distinct subexpression (hash-consed), each one numpy op, and
+each intermediate released after its last use.  ``evaluate`` runs a
+program of one tree.  Evaluation is pure and accepts numpy arrays in the
 environment, broadcasting elementwise.  A domain fault or a NaN value
 raises DomainFaultError; evaluation never returns NaN.  Problem data
-reaches the solver through ``evaluate_batch`` on grid axes, so a subtree
-of x alone is computed on the few axis values it reads.
+reaches the solver through programs run on grid axes, so a subtree of x
+alone is computed on the few axis values it reads, and a tree compiled
+with its derivatives, which repeat its subtrees, computes each once.
 """
 
+import math
+import operator
 import re
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -199,7 +207,10 @@ class _Parser:
     def atom(self):
         kind, text, off = self.advance()
         if kind == "num":
-            return Num(float(text))
+            value = float(text)
+            if math.isinf(value):
+                raise ParseError(f"numeric literal {text!r} overflows to infinity", off)
+            return Num(value)
         if kind == "ident":
             nk, ntext, _ = self.peek()
             if nk == "op" and ntext == "(":
@@ -270,71 +281,31 @@ def _first_bad(values, mask):
     return np.broadcast_to(np.asarray(values, dtype=float), np.shape(mask))[mask].flat[0]
 
 
-def evaluate(e, env):
-    """Evaluate a tree at an environment; IEEE double, arrays broadcast.
-
-    Domain faults are raised as DomainFaultError with the offending
-    subexpression attached, and a NaN value as DomainFaultError naming the
-    tree: no NaN is ever returned.  Overflow to +-inf is returned.
-    """
-    with np.errstate(all="ignore"):
-        value = _eval(e, env)
-    if np.isnan(value).any():
-        raise DomainFaultError("NaN value", e, np.nan)
-    return value
+def _log(node, arg):
+    bad = np.asarray(arg) <= 0.0
+    if np.any(bad):
+        raise DomainFaultError("log of non-positive value", node, _first_bad(arg, bad))
+    return np.log(arg)
 
 
-def evaluate_batch(e, env, shape):
-    """``evaluate`` broadcast to ``shape``, the shape the arrays of env
-    broadcast to: a read-only float array, also for a tree that reads
-    none of them."""
-    return np.broadcast_to(evaluate(e, env), shape)
+def _sqrt(node, arg):
+    bad = np.asarray(arg) < 0.0
+    if np.any(bad):
+        raise DomainFaultError("sqrt of negative value", node, _first_bad(arg, bad))
+    return np.sqrt(arg)
 
 
-def _eval(e, env):
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Var):
-        return _lookup(e.name, env)
-    if isinstance(e, Neg):
-        return -_eval(e.arg, env)
-    if isinstance(e, Call):
-        arg = _eval(e.arg, env)
-        if e.func == "log":
-            bad = np.asarray(arg) <= 0.0
-            if np.any(bad):
-                raise DomainFaultError("log of non-positive value", e, _first_bad(arg, bad))
-            return np.log(arg)
-        if e.func == "sqrt":
-            bad = np.asarray(arg) < 0.0
-            if np.any(bad):
-                raise DomainFaultError("sqrt of negative value", e, _first_bad(arg, bad))
-            return np.sqrt(arg)
-        if e.func == "exp":
-            return np.exp(arg)
-        if e.func == "sin":
-            return np.sin(arg)
-        return np.cos(arg)
-    left = _eval(e.left, env)
-    right = _eval(e.right, env)
-    if e.op == "+":
-        return np.add(left, right)
-    if e.op == "-":
-        return np.subtract(left, right)
-    if e.op == "*":
-        return np.multiply(left, right)
-    if e.op == "/":
-        bad = np.asarray(right) == 0.0
-        if np.any(bad):
-            raise DomainFaultError("division by zero", e, 0.0)
-        return np.divide(left, right)
-    return _pow(e, left, right)
+def _divide(node, left, right):
+    bad = np.asarray(right) == 0.0
+    if np.any(bad):
+        raise DomainFaultError("division by zero", node, 0.0)
+    return np.divide(left, right)
 
 
 def _pow(node, base, exponent):
     if np.ndim(exponent) == 0 and exponent >= 1.0 and float(exponent).is_integer():
-        # defined for every base, and a NaN base stays NaN for evaluate's
-        # NaN rule: no per-node check
+        # defined for every base, and a NaN base stays NaN for the NaN
+        # rule: no per-node check
         return np.power(base, exponent)
     base_a = np.asarray(base, dtype=float)
     exp_a = np.asarray(exponent, dtype=float)
@@ -348,6 +319,123 @@ def _pow(node, base, exponent):
     if np.any(bad):
         raise DomainFaultError("zero raised to a negative power", node, 0.0)
     return np.power(base, exponent)
+
+
+# The op of each node kind.  A checked op takes its node first, for the
+# DomainFaultError it raises.
+_CALLS = {"exp": np.exp, "sin": np.sin, "cos": np.cos, "log": _log, "sqrt": _sqrt}
+_BINOPS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": _divide, "^": _pow}
+_CHECKED = (_log, _sqrt, _divide, _pow)
+
+
+class Program:
+    """One or more trees compiled to a straight-line program.
+
+    Compiling hash-conses the trees: each structurally distinct
+    subexpression, keyed by its node kind, its op, name or literal and the
+    registers of its children, gets one register, so a subtree that occurs
+    twice, in one tree or across trees, is computed once.  Literals are
+    preloaded registers (two literals share one when they print alike, so
+    0.0 and -0.0 do not), and register 0 holds the environment.  Each
+    other register is one instruction, one numpy op on the registers of
+    its children; the instructions run in post-order of first occurrence,
+    left before right, and each register is released after its last use.
+    The trees are taken in order: tree k is checked for NaN and handed out
+    right after its last new instruction, before any instruction only a
+    later tree needs.  So a domain fault or a NaN raises the same
+    DomainFaultError, for the same subtree, as evaluating the trees one
+    after another.
+    """
+
+    def __init__(self, exprs):
+        self.exprs = tuple(exprs)
+        registers = [None]  # register 0: the environment
+        keys = {}
+        code = []  # (register, op, operand registers)
+
+        def visit(e):
+            if isinstance(e, Num):
+                key, op, args = ("num", repr(e.value)), None, ()
+            elif isinstance(e, Var):
+                key, op, args = ("var", e.name), partial(_lookup, e.name), (0,)
+            elif isinstance(e, Neg):
+                args = (visit(e.arg),)
+                key, op = ("neg", *args), operator.neg
+            elif isinstance(e, Call):
+                args = (visit(e.arg),)
+                key, op = ("call", e.func, *args), _CALLS[e.func]
+            else:
+                args = (visit(e.left), visit(e.right))
+                key, op = ("binop", e.op, *args), _BINOPS[e.op]
+            if key not in keys:
+                keys[key] = len(registers)
+                registers.append(e.value if op is None else None)
+                if op is not None:
+                    code.append((keys[key], partial(op, e) if op in _CHECKED else op, args))
+            return keys[key]
+
+        self._roots, ends = [], []
+        for e in self.exprs:
+            self._roots.append(visit(e))
+            ends.append(len(code))
+        # the step after which each register is last read: by an
+        # instruction, or as a tree's value once that tree is complete
+        last = {a: step for step, (_, _, args) in enumerate(code, 1) for a in args}
+        for root, end in zip(self._roots, ends):
+            last[root] = max(last.get(root, 0), end)
+        emits = [[] for _ in range(len(code) + 1)]
+        dead = [[] for _ in range(len(code) + 1)]
+        for k, end in enumerate(ends):
+            emits[end].append(k)
+        for reg, step in last.items():
+            dead[step].append(reg)
+        self._registers = registers
+        self._leading = tuple(emits[0])  # trees that are literals
+        self._code = [
+            (reg, op, args, tuple(emits[step]), tuple(dead[step]))
+            for step, (reg, op, args) in enumerate(code, 1)
+        ]
+
+    def run(self, env, out=None):
+        """Evaluate the trees at env; IEEE double, arrays broadcast.
+
+        Returns the list of their values, each as ``evaluate`` returns it;
+        given ``out``, a sequence of one array per tree, writes each value
+        into its array (broadcasting) instead and returns out.
+        """
+        regs = self._registers.copy()
+        regs[0] = env
+        values = []
+        with np.errstate(all="ignore"):
+            for k in self._leading:
+                self._emit(k, regs, out, values)
+            for reg, op, args, emits, dead in self._code:
+                regs[reg] = op(*[regs[a] for a in args])
+                for k in emits:
+                    self._emit(k, regs, out, values)
+                for a in dead:
+                    regs[a] = None
+        return values if out is None else out
+
+    def _emit(self, k, regs, out, values):
+        value = regs[self._roots[k]]
+        if np.isnan(value).any():
+            raise DomainFaultError("NaN value", self.exprs[k], np.nan)
+        if out is None:
+            values.append(value)
+        else:
+            out[k][...] = value
+
+
+def evaluate(e, env):
+    """Evaluate a tree at an environment; IEEE double, arrays broadcast.
+
+    Domain faults are raised as DomainFaultError with the offending
+    subexpression attached, and a NaN value as DomainFaultError naming the
+    tree: no NaN is ever returned.  Overflow to +-inf is returned.
+    """
+    (value,) = Program([e]).run(env)
+    return value
 
 
 def _is_num(e, value=None):

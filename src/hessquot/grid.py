@@ -15,7 +15,7 @@ stencil diagonals: assembly accumulates one weight array per stencil
 offset and stores each, shifted by its flat row-major offset, as one
 diagonal of a scipy DIA matrix.
 
-Problem expressions are sampled through ``expr.evaluate_batch`` on the
+Problem expressions are sampled through ``expr.Program`` on the cached
 node axes of ``Grid.axes``, the one coordinate representation: at every
 node by ``sample_expression``, and with exact symbolic first and second
 derivatives at the interior nodes by ``exact_derivatives``, the one
@@ -39,7 +39,7 @@ tables pass an overflow on silently, for the cone rule to report.
 import math
 import operator
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -113,12 +113,19 @@ class Grid:
     def axes(self, interior=False):
         """The node coordinates x_1..x_n, x_a shaped to broadcast along
         dimension a: (res, 1, 1), (1, res, 1), ... in 3-D; with
-        ``interior``, res - 2 nodes per axis, broadcasting to interior_shape."""
-        cut = slice(1, -1) if interior else slice(None)
-        return [
-            np.linspace(lo, hi, self.res)[cut].reshape((1,) * a + (-1,) + (1,) * (self.n - 1 - a))
-            for a, (lo, hi) in enumerate(zip(self.lo, self.hi))
-        ]
+        ``interior``, res - 2 nodes per axis, broadcasting to interior_shape.
+        A tuple of read-only arrays, built once per grid."""
+        return self._axes[bool(interior)]
+
+    @cached_property
+    def _axes(self):
+        full = []
+        for a, (lo, hi) in enumerate(zip(self.lo, self.hi)):
+            x = np.linspace(lo, hi, self.res).reshape((1,) * a + (-1,) + (1,) * (self.n - 1 - a))
+            x.flags.writeable = False
+            full.append(x)
+        inner = (x[(slice(None),) * a + (slice(1, -1),)] for a, x in enumerate(full))
+        return tuple(full), tuple(inner)
 
     @cached_property
     def rows(self):
@@ -278,8 +285,9 @@ class SparseSystem:
 
 def sample_expression(e, grid):
     """Evaluate an expression of x at every node."""
-    values = expr_mod.evaluate_batch(e, expr_mod.EvalEnv(x=grid.axes()), grid.shape)
-    return GridFunction(grid, values.copy())
+    values = np.empty(grid.shape)
+    expr_mod.Program([e]).run(expr_mod.EvalEnv(x=grid.axes()), [values])
+    return GridFunction(grid, values)
 
 
 def _require_interior(grid, node):
@@ -590,23 +598,51 @@ def assemble_jacobian(u, prob, t, psi0=None, state=None):
     return SparseSystem(matrix=matrix, rhs=-r, grid=grid)
 
 
+@cache
+def _derivative_program(e, n, text):
+    """The derivative program of an expression of x in n dimensions, with
+    the row of each of its trees in the stack of the n gradient rows and
+    the C Hessian rows (``_pairs`` order).  The trees are each first
+    derivative d_a followed by its Hessian row d_ab, b >= a, which
+    differentiates d_a again: d_1, d_11, ..., d_1n, d_2, d_22, ...
+
+    ``text`` is ``to_string(e)``, read only as part of the cache key: it
+    tells apart trees that == does not, whose literals differ only in the
+    sign of a zero."""
+    slot = {pair: n + c for c, pair in enumerate(_pairs(n))}
+    trees, rows = [], []
+    for a in range(n):
+        da = expr_mod.differentiate(e, f"x{a + 1}")
+        trees.append(da)
+        rows.append(a)
+        for b in range(a, n):
+            trees.append(expr_mod.differentiate(da, f"x{b + 1}"))
+            rows.append(slot[a, b])
+    return expr_mod.Program(trees), rows
+
+
 def exact_derivatives(e, grid):
     """Symbolic gradient (n, N) and Hessian components (C, N), in
     ``_pairs`` order, of an expression of x at the N interior nodes of
-    grid.  Each first derivative is built once and differentiated again
-    for its Hessian row."""
+    grid.
+
+    The n + C derivative trees of (e, n) are compiled into one
+    ``expr.Program`` and kept in a process-wide cache keyed by the printed
+    tree and n (unbounded, one entry per distinct expression), so each
+    distinct expression is differentiated once per process.  The first
+    derivatives are subtrees of the second, and the program computes each
+    shared subexpression once.  It writes every derivative into its row
+    as soon as it is complete and releases each intermediate after its
+    last use, so the intermediates alive at once are those it still
+    reads.  A fault or a NaN raises as evaluating the trees one after
+    another would, in the order d_1, d_11, ..., d_1n, d_2, ..."""
     n, shape = grid.n, grid.interior_shape
-    env = expr_mod.EvalEnv(x=grid.axes(interior=True))
-    slot = {pair: c for c, pair in enumerate(_pairs(n))}
+    program, rows = _derivative_program(e, n, expr_mod.to_string(e))
     P = np.empty((n, *shape))
-    H = np.empty((len(slot), *shape))
-    for a in range(n):
-        da = expr_mod.differentiate(e, f"x{a + 1}")
-        P[a] = expr_mod.evaluate_batch(da, env, shape)
-        for b in range(a, n):
-            dab = expr_mod.differentiate(da, f"x{b + 1}")
-            H[slot[a, b]] = expr_mod.evaluate_batch(dab, env, shape)
-    return P.reshape(n, -1), H.reshape(len(slot), -1)
+    H = np.empty((n * (n + 1) // 2, *shape))
+    dst = [*P, *H]
+    program.run(expr_mod.EvalEnv(x=grid.axes(interior=True)), [dst[r] for r in rows])
+    return P.reshape(n, -1), H.reshape(len(H), -1)
 
 
 def csv_lines(u):

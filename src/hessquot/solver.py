@@ -134,12 +134,14 @@ class ProblemSpec:
 
     def __setattr__(self, name, value):
         super().__setattr__(name, value)
-        # psi's derivative trees follow psi, built once per assignment
+        # psi and its partials follow psi, compiled into one program once
+        # per assignment
         if name == "psi" and not isinstance(value, PsiField):
-            super().__setattr__("_psi_z", expr_mod.differentiate(value, "u"))
-            super().__setattr__("_psi_p", [
-                expr_mod.differentiate(value, f"p{i+1}") for i in range(self.grid.n)
-            ])
+            super().__setattr__("_psi_program", expr_mod.Program([
+                value,
+                expr_mod.differentiate(value, "u"),
+                *(expr_mod.differentiate(value, f"p{i+1}") for i in range(self.grid.n)),
+            ]))
 
     def __post_init__(self):
         if self.grid.n != self.quotient.n:
@@ -174,11 +176,9 @@ class ProblemSpec:
             return self.psi.terms(u, p)
         shape = self.grid.interior_shape
         env = expr_mod.EvalEnv(x=self.grid.axes(interior=True), u=u, p=p.reshape(-1, *shape))
-        psi, psi_z, *psi_p = (
-            expr_mod.evaluate_batch(d, env, shape).reshape(-1)
-            for d in (self.psi, self._psi_z, *self._psi_p)
-        )
-        return psi, psi_z, np.stack(psi_p)
+        psi, psi_z, psi_p = np.empty(u.size), np.empty(u.size), np.empty((self.grid.n, u.size))
+        self._psi_program.run(env, [psi.reshape(shape), psi_z.reshape(shape), *psi_p.reshape(-1, *shape)])
+        return psi, psi_z, psi_p
 
 
 @dataclass

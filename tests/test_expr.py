@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hessquot.expr import (
     BinOp,
@@ -10,6 +12,7 @@ from hessquot.expr import (
     Neg,
     Num,
     ParseError,
+    Program,
     UnknownIdentifierError,
     Var,
     differentiate,
@@ -66,6 +69,16 @@ def test_parse_error_offsets():
     with pytest.raises(ParseError) as err:
         parse("x1 x2", 2)
     assert err.value.offset == 3
+
+
+def test_overflowing_literal_is_a_parse_error():
+    # Num(inf) printed as 'inf', which reparsed as an unknown identifier
+    for text, offset in (("1e400*x1", 0), ("x1 + 2*-1e400", 8), ("x1^1e999", 3)):
+        with pytest.raises(ParseError, match="overflows") as err:
+            parse(text, 3)
+        assert err.value.offset == offset
+    tree = parse("1e308*x1", 3)
+    assert parse(to_string(tree), 3) == tree
 
 
 def test_evaluate_examples():
@@ -198,3 +211,124 @@ def test_print_parse_round_trip():
 def test_variables_collection():
     tree = parse("x1*p2 + exp(u)", 2)
     assert variables(tree) == {"x1", "p2", "u"}
+
+
+def _reference_evaluate(e, env):
+    """A recursive walk of the tree with the program's checks: the
+    reference a program of trees must match bit for bit."""
+    with np.errstate(all="ignore"):
+        value = _walk(e, env)
+    if np.isnan(value).any():
+        raise DomainFaultError("NaN value", e, np.nan)
+    return value
+
+
+def _walk(e, env):
+    if isinstance(e, Num):
+        return e.value
+    if isinstance(e, Var):
+        if e.name == "u":
+            return env.u
+        return np.asarray((env.x if e.name[0] == "x" else env.p)[int(e.name[1:]) - 1], dtype=float)
+    if isinstance(e, Neg):
+        return -_walk(e.arg, env)
+    if isinstance(e, Call):
+        arg = _walk(e.arg, env)
+        a = np.asarray(arg, dtype=float)
+        if e.func == "log" and np.any(a <= 0.0):
+            raise DomainFaultError("log of non-positive value", e, _first(a, a <= 0.0))
+        if e.func == "sqrt" and np.any(a < 0.0):
+            raise DomainFaultError("sqrt of negative value", e, _first(a, a < 0.0))
+        return getattr(np, e.func)(arg)
+    left, right = _walk(e.left, env), _walk(e.right, env)
+    if e.op == "/" and np.any(np.asarray(right) == 0.0):
+        raise DomainFaultError("division by zero", e, 0.0)
+    if e.op != "^":
+        return {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}[e.op](left, right)
+    if np.ndim(right) == 0 and right >= 1.0 and float(right).is_integer():
+        return np.power(left, right)
+    base, exponent = np.asarray(left, dtype=float), np.asarray(right, dtype=float)
+    if np.isnan(base).any() or np.isnan(exponent).any():
+        raise DomainFaultError("NaN value", e, np.nan)
+    bad = (base < 0.0) & (exponent != np.floor(exponent))
+    if np.any(bad):
+        raise DomainFaultError("fractional power of negative base", e, _first(base, bad))
+    if np.any((base == 0.0) & (exponent < 0.0)):
+        raise DomainFaultError("zero raised to a negative power", e, 0.0)
+    return np.power(left, right)
+
+
+def _first(values, mask):
+    return np.broadcast_to(values, np.shape(mask))[mask].flat[0]
+
+
+def _outcome(thunk):
+    try:
+        return thunk()
+    except DomainFaultError as err:
+        return err
+
+
+def _same(got, want):
+    if isinstance(want, DomainFaultError):
+        return (
+            type(got) is DomainFaultError
+            and str(got) == str(want)
+            and to_string(got.subexpr) == to_string(want.subexpr)
+        )
+    return (
+        type(got) is type(want)
+        and np.shape(got) == np.shape(want)
+        and np.asarray(got).dtype == np.asarray(want).dtype
+        and np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    )
+
+
+_NAMES = ("x1", "x2", "u", "p1")
+# zeros and negatives reach log, sqrt, / and ^; 710 overflows exp, so
+# 0*inf and inf - inf give NaN, as does a NaN entry
+_VALUES = (0.5, 1.5, 2.0, 3.0, 0.0, -0.0, -1.0, -2.5, 710.0, np.nan)
+
+
+def _trees():
+    leaves = st.builds(Num, st.sampled_from((0.0, -0.0, 1.0, 2.0, -1.0, 0.5, 3.0, 1e300))) | st.builds(
+        Var, st.sampled_from(_NAMES)
+    )
+
+    def extend(children):
+        return (
+            st.builds(Neg, children)
+            | st.builds(Call, st.sampled_from(("exp", "log", "sin", "cos", "sqrt")), children)
+            | st.builds(BinOp, st.sampled_from("+-*/^"), children, children)
+            # a repeated subtree, which the program computes once
+            | st.builds(lambda op, c: BinOp(op, c, c), st.sampled_from("+-*/^"), children)
+        )
+
+    return st.recursive(leaves, extend, max_leaves=10)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    tree=_trees(),
+    x1=st.lists(st.sampled_from(_VALUES), min_size=3, max_size=3),
+    x2=st.lists(st.sampled_from(_VALUES), min_size=2, max_size=2),
+    u=st.lists(st.sampled_from(_VALUES), min_size=6, max_size=6),
+    p1=st.sampled_from(_VALUES),
+)
+def test_program_matches_a_recursive_walk(tree, x1, x2, u, p1):
+    # a tree with its first derivatives and one second derivative: the
+    # program of all of them gives each value with the bits, type and
+    # shape of walking each tree in turn, or the first walk's fault
+    env = EvalEnv(x=[np.reshape(x1, (3, 1)), np.reshape(x2, (1, 2))], u=np.reshape(u, (3, 2)), p=[p1])
+    trees = [tree, *(differentiate(tree, v) for v in _NAMES), differentiate(differentiate(tree, "x1"), "x2")]
+    want = _outcome(lambda: [_reference_evaluate(t, env) for t in trees])
+    got = _outcome(lambda: Program(trees).run(env))
+    assert isinstance(got, list) == isinstance(want, list)
+    if isinstance(want, list):
+        assert all(_same(g, w) for g, w in zip(got, want))
+        # written into arrays: each value broadcast to the shape of the env
+        out = Program(trees).run(env, [np.empty((3, 2)) for _ in trees])
+        assert all(_same(o, np.broadcast_to(w, (3, 2)).copy()) for o, w in zip(out, want))
+    else:
+        assert _same(got, want)
+    assert _same(_outcome(lambda: evaluate(tree, env)), _outcome(lambda: _reference_evaluate(tree, env)))

@@ -496,6 +496,15 @@ def test_exact_derivative_sampling():
     assert np.allclose(H, expected, rtol=1e-12)
 
 
+def test_exact_derivatives_tell_signed_zero_literals_apart():
+    # equal trees under == (0.0 == -0.0) whose first derivatives differ in
+    # the sign of zero: the second is not served the first's program
+    g = _grid2(5)
+    plus, minus = (grid_mod.exact_derivatives(expr_mod.parse(t, 2), g)[0][0]
+                   for t in ("x1*(0*x2)", "x1*(-0*x2)"))
+    assert not np.signbit(plus).any() and np.signbit(minus).all()
+
+
 def _meshgrid_points(g, interior=False):
     # the (N, n) point array of the grid's nodes, row-major, built with
     # np.meshgrid: the point sampling the axis samplers must reproduce
@@ -511,6 +520,15 @@ def _on_points(e, x, u=None, p=None):
 
 
 _AXIS_GRIDS = [_grid2(7), Grid(3, *UNEQUAL_BOX, 7)]
+
+
+@pytest.mark.parametrize("g", _AXIS_GRIDS, ids=["2d", "3d-unequal"])
+def test_axes_are_built_once_and_read_only(g):
+    for interior in (False, True):
+        axes = g.axes(interior=interior)
+        assert all(a is b for a, b in zip(axes, g.axes(interior=interior)))
+        assert not any(x.flags.writeable for x in axes)
+        assert np.array_equal(points(axes), _meshgrid_points(g, interior))
 
 
 @pytest.mark.parametrize("g", _AXIS_GRIDS, ids=["2d", "3d-unequal"])

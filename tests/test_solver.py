@@ -461,9 +461,12 @@ def test_psi_derivatives_follow_a_reassigned_psi():
 
 
 def test_validate_builds_each_exact_derivative_once(monkeypatch):
-    # 3 first and 6 second derivatives of the subsolution; the gradient
-    # and Hessian samplers each built the first ones, 12 calls in all
-    prob = _quad_problem(f"{QUAD} - 0.4*{BUMP}")
+    # 3 first and 6 second derivatives of a subsolution not seen before
+    # (the process-wide cache is emptied, whatever ran earlier); the
+    # gradient and Hessian samplers each built the first ones, 12 calls in
+    # all.  An equal tree parsed again is differentiated no more.
+    text = f"{QUAD} - 0.4*{BUMP}"
+    prob = _quad_problem(text)
     calls = []
     differentiate = expr_mod.differentiate
 
@@ -472,8 +475,14 @@ def test_validate_builds_each_exact_derivative_once(monkeypatch):
         return differentiate(e, var)
 
     monkeypatch.setattr(expr_mod, "differentiate", count)
+    grid_mod._derivative_program.cache_clear()
     validate_problem(prob)
     assert len(calls) == 9
+    again = replace(prob, subsolution=expr_mod.parse(text, 3))
+    assert again.subsolution is not prob.subsolution
+    calls.clear()
+    validate_problem(again)
+    assert calls == []
 
 
 def test_validate_rejects_a_nan_forcing():
