@@ -63,7 +63,6 @@ from .solver import (
     StageRecord,
     homotopy_rhs_field,
     linear_solve,
-    newton_stage,
     solve_dirichlet,
 )
 from .verify import (

@@ -2,9 +2,9 @@
 
 The grid is a tensor product of ``res`` equally spaced nodes per axis,
 boundary layers included, so every interior stencil reads only grid nodes
-and one-sided differences never appear.  ``Grid.rows`` labels each
-interior node (all indices in [1, res-2]) with its row in the assembled
-sparse systems, row-major (C order), and each boundary node with -1.
+and one-sided differences never appear.  The interior nodes, all indices
+in [1, res-2], are the block ``Grid.interior`` slices out of a nodal
+array; the assembled sparse systems number them row-major (C order).
 
 The discretization is stated once, in ``Grid.stencils``: the 3-point
 second difference on the Hessian diagonal and the 4-point cross off it
@@ -127,17 +127,16 @@ class Grid:
         inner = (x[(slice(None),) * a + (slice(1, -1),)] for a, x in enumerate(full))
         return tuple(full), tuple(inner)
 
-    @cached_property
-    def rows(self):
-        """Each interior node's row in the assembled systems (row-major), -1
-        on the boundary; shape grid.shape, read-only."""
-        rows = np.full(self.shape, -1, np.int32 if self.num_interior < 2**31 else np.int64)
-        rows[(slice(1, -1),) * self.n].flat = np.arange(self.num_interior)
-        rows.flags.writeable = False
-        return rows
+    @property
+    def interior(self):
+        """Index of the interior block of a nodal array: slice(1, -1) per axis."""
+        return (slice(1, -1),) * self.n
 
     def boundary_mask(self):
-        return self.rows < 0
+        """True at the boundary nodes; shape grid.shape."""
+        mask = np.ones(self.shape, dtype=bool)
+        mask[self.interior] = False
+        return mask
 
     def interior_node(self, row):
         """Grid multi-index of the interior node in row-major row ``row``."""
@@ -264,8 +263,8 @@ class GridFunction:
         return GridFunction(self.grid, self.values.copy())
 
     def interior(self):
-        """The values at the interior nodes, interior_shape; a view."""
-        return self.values[(slice(1, -1),) * self.grid.n]
+        """The values at the interior nodes (``Grid.interior``); a view."""
+        return self.values[self.grid.interior]
 
 
 @dataclass
@@ -524,8 +523,10 @@ def assemble_residual(u, prob, t, psi0):
     return _residual_state(u, prob, t, psi0)[0]
 
 
-def assemble_jacobian(u, prob, t, psi0=None, state=None):
-    """Sparse Jacobian of the stage residual with respect to interior values.
+def assemble_jacobian(prob, t, state):
+    """Sparse Jacobian of the stage residual at parameter t with respect to
+    interior values, at the iterate whose ``_residual_state`` at t is
+    ``state``, its (residual, fields); it evaluates nothing at the iterate.
 
     Each ``Grid.stencils`` entry (offset, coef) of a stencil with divisor
     d puts q * coef / d in row p, column p + offset: q is Q_aa(p) for H_aa,
@@ -536,17 +537,10 @@ def assemble_jacobian(u, prob, t, psi0=None, state=None):
     right-hand side.  The matrix is a ``scipy.sparse.dia_matrix`` with one
     diagonal per ``Grid.jacobian_offsets`` entry, in ascending order, so a
     product adds each row's terms in column order, as a CSR row sum does.
-    Given ``state``, the (residual, fields) of u's ``_residual_state`` at
-    t, it evaluates nothing at u; otherwise it evaluates that state with
-    the t = 0 forcing psi0.
     """
     grid = prob.grid
     spec = prob.quotient
     nint = grid.num_interior
-    if state is None:
-        if psi0 is None:
-            raise TypeError("assemble_jacobian needs psi0 or the state at u")
-        state = _residual_state(u, prob, t, psi0)
     r, fields = state
     # chain rule through the self-adjoint map U = tau*tr(H)*I - H
     Q = eta_components(fields.gradient(spec), spec.tau, grid.n)

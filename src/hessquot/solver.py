@@ -32,11 +32,12 @@ the continuation once more, from the subsolution on the target grid, so
 a failed solve always reports an iterate on the target grid.
 """
 
+import copy
 import logging
 import math
 import time
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -97,20 +98,23 @@ class PsiField:
     Used by manufactured problems, where the forcing comes from composing
     the operator with exact second derivatives and has no closed form in
     the expression grammar.  It carries no u or gradient dependence, so
-    its partials are zero arrays.
+    its partials are one read-only zero row, allocated once, and views of it.
     """
 
     def __init__(self, values):
         self.values = np.asarray(values, dtype=float)
         if self.values.ndim != 1:
             raise ValueError("field forcing must be a flat interior vector")
+        self._zero = np.zeros(self.values.shape[0])
+        self._zero.flags.writeable = False
 
     def terms(self, u, p):
         """``ProblemSpec.psi_terms`` at the interior block u and the
-        gradients p (n, N): the values and zero partials."""
+        gradients p (n, N): the values, the zero row (N,) and a read-only
+        (n, N) broadcast view of it."""
         if self.values.shape[0] != u.size:
             raise ValueError("field forcing length does not match interior size")
-        return self.values, np.zeros(u.size), np.zeros(p.shape)
+        return self.values, self._zero, np.broadcast_to(self._zero, p.shape)
 
 
 @dataclass
@@ -289,9 +293,9 @@ def _start(prob):
 
 def homotopy_rhs_field(prob):
     """operator(U[start]) on interior nodes, by the stencil Hessian of the
-    continuation's start iterate ``_start``: the solver's t = 0 forcing and
-    ``newton_stage``'s default, so the path starts exactly in the discrete
-    sense.  A start outside the cone raises NotAdmissibleError."""
+    continuation's start iterate ``_start``: the solver's t = 0 forcing, so
+    the path starts exactly in the discrete sense.  A start outside the
+    cone raises NotAdmissibleError."""
     return grid_mod._operator_fields(_start(prob).values, prob.grid, prob.quotient).values
 
 
@@ -445,8 +449,9 @@ def _gmres_cycle(matrix, r, precond, tol, V):
 
 
 def _step(u, delta, s):
+    """u with s * delta (flat, row-major) added on its interior block."""
     out = u.values.copy()
-    out[u.grid.rows >= 0] += s * delta
+    out[u.grid.interior] += (s * delta).reshape(u.grid.interior_shape)
     return GridFunction(u.grid, out)
 
 
@@ -473,7 +478,7 @@ def _newton(u, t, prob, psi0):
             )
         # the state is already at hand: assembly evaluates nothing at u; the
         # system is released once solved, before the next one is assembled
-        delta = linear_solve(grid_mod.assemble_jacobian(u, prob, t, state=(r, fields)))
+        delta = linear_solve(grid_mod.assemble_jacobian(prob, t, (r, fields)))
         s = 1.0
         while True:
             try:
@@ -499,12 +504,6 @@ def _newton(u, t, prob, psi0):
             t, iters, rinf, s, fields.margin,
         )
     return u, StageRecord(t, iters, rinf, fields.margin, prob.grid.res)
-
-
-def newton_stage(u0, t, prob, psi0=None):
-    """Solve one continuation stage; the iterate must start admissible and
-    boundary-correct."""
-    return _newton(u0, t, prob, homotopy_rhs_field(prob) if psi0 is None else psi0)[0]
 
 
 def _secant(u_prev, t_prev, u, t, t_next):
@@ -582,14 +581,17 @@ def _continuation(prob, stages):
 
 def _coarse_problem(prob):
     """prob on prob.grid.coarse, or None where the grid has none; a field
-    forcing is transferred to the coarse interior."""
+    forcing is transferred to the coarse interior.  A shallow copy: an
+    expression psi keeps its compiled program, which depends on n alone."""
     g = prob.grid
     if g.coarse is None:
         return None
-    psi = prob.psi
+    coarse = copy.copy(prob)
+    coarse.grid = g.coarse
     if prob.field_psi:
-        psi = PsiField(_transfer(psi.values.reshape(g.interior_shape), g.coarse.res, 1).ravel())
-    return replace(prob, grid=g.coarse, psi=psi)
+        fine = prob.psi.values.reshape(g.interior_shape)
+        coarse.psi = PsiField(_transfer(fine, g.coarse.res, 1).ravel())
+    return coarse
 
 
 def _transfer(values, res, inner=0):

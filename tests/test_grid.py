@@ -6,6 +6,7 @@ from scipy import sparse
 
 from hessquot import expr as expr_mod
 from hessquot import grid as grid_mod
+from hessquot import solver as solver_mod
 from hessquot import symfun
 from hessquot.errors import NotAdmissibleError
 from hessquot.grid import (
@@ -52,7 +53,7 @@ def test_grid_rejects_non_integer_fields(field, n, res):
 def test_grid_takes_numpy_integers():
     g = Grid(np.int64(2), (0, 0), (1, 1), np.int32(9))
     assert (type(g.n), type(g.res)) == (int, int)
-    assert g == _grid2(9) and g.rows.shape == (9, 9)
+    assert g == _grid2(9) and g.boundary_mask().shape == (9, 9)
 
 
 def test_gradient_exact_on_linear():
@@ -110,18 +111,26 @@ def test_hessian_second_order_convergence():
     assert 3.5 <= ratio <= 4.5
 
 
-def test_rows_label_the_interior_and_the_boundary():
+def test_interior_index_selects_the_interior_block(rng):
     for g in (_grid2(7), _grid3(6), Grid(3, *UNEQUAL_BOX, 7)):
-        rows = g.rows
-        assert rows.shape == g.shape
-        for r in range(g.num_interior):
-            assert rows[g.interior_node(r)] == r
         padded = np.pad(np.zeros(g.interior_shape, dtype=bool), 1, constant_values=True)
-        assert np.all(rows[padded] == -1)
         assert np.array_equal(g.boundary_mask(), padded)
-        with pytest.raises(ValueError):
-            rows[(1,) * g.n] = 0
-        assert rows[(1,) * g.n] == 0 and rows[(0,) * g.n] == -1
+        # the interior index picks exactly the nodes with every index in
+        # [1, res - 2], in row-major order
+        labels = np.arange(math.prod(g.shape)).reshape(g.shape)
+        nodes = np.stack(np.unravel_index(labels[g.interior].reshape(-1), g.shape), axis=-1)
+        assert len(nodes) == g.num_interior
+        assert np.all((nodes >= 1) & (nodes <= g.res - 2))
+        assert [tuple(v) for v in nodes] == [g.interior_node(r) for r in range(g.num_interior)]
+        # a Newton step through the interior view, against a boolean mask
+        u = GridFunction(g, rng.standard_normal(g.shape))
+        delta = rng.standard_normal(g.num_interior)
+        for s in (1.0, 0.5, 2.0**-7):
+            ref = u.values.copy()
+            ref[~padded] += s * delta
+            got = solver_mod._step(u, delta, s)
+            assert got.values.tobytes() == ref.tobytes()
+            assert np.array_equal(got.values[padded], u.values[padded])
 
 
 def test_stencil_ops_reject_boundary_nodes():
@@ -198,6 +207,11 @@ def _first_order_problem_3d(res=9, box=((0, 0, 0), (1, 1, 1))):
     return ProblemSpec(grid=g, quotient=spec, psi=psi, phi=quad, subsolution=quad)
 
 
+def _jacobian(u, prob, t, psi0):
+    # the stage Jacobian at u, assembled from u's stage state
+    return assemble_jacobian(prob, t, grid_mod._residual_state(u, prob, t, psi0))
+
+
 def _perturbed_subsolution(prob, rng, scale=1e-4):
     g = prob.grid
     u = sample_expression(prob.subsolution, g)
@@ -258,7 +272,7 @@ def test_jacobian_matches_directional_differences(rng):
         u = _perturbed_subsolution(prob, rng)
         psi0 = homotopy_rhs_field(prob)
         for t in (0.0, 0.6, 1.0):
-            sys_ = assemble_jacobian(u, prob, t, psi0=psi0)
+            sys_ = _jacobian(u, prob, t, psi0)
             base = assemble_residual(u, prob, t, psi0)
             assert np.allclose(sys_.rhs, -base)
             core = (slice(1, -1),) * n
@@ -288,8 +302,8 @@ def test_jacobian_first_order_terms_respond_to_psi(rng):
     prob = ProblemSpec(grid=g, quotient=spec, psi=psi, phi=quad, subsolution=quad)
     u = sample_expression(quad, g)
     psi0 = homotopy_rhs_field(prob)
-    j0 = assemble_jacobian(u, prob, 0.0, psi0=psi0).matrix
-    j1 = assemble_jacobian(u, prob, 1.0, psi0=psi0).matrix
+    j0 = _jacobian(u, prob, 0.0, psi0).matrix
+    j1 = _jacobian(u, prob, 1.0, psi0).matrix
     diff = (j1 - j0).toarray()
     row = np.ravel_multi_index((2, 2, 2), g.interior_shape)
     h = g.h[0]
@@ -386,7 +400,7 @@ def test_fixed_pattern_assembly_matches_reference(rng):
         u = _perturbed_subsolution(prob, rng)
         psi0 = homotopy_rhs_field(prob)
         for t in (0.0, 1.0):
-            got = assemble_jacobian(u, prob, t, psi0=psi0).matrix
+            got = _jacobian(u, prob, t, psi0).matrix
             ref = _reference_jacobian(u, prob, t)
             # dense, so every entry off the stencil, a wrapped boundary
             # weight's position included, must be exactly zero
@@ -404,7 +418,7 @@ def test_jacobian_diagonals_keep_row_sum_order(rng):
         used = [*g.stencils.hessian.values(), *g.stencils.gradient]
         offsets = {o for _, terms in used for o, _ in terms}
         u = _perturbed_subsolution(prob, rng)
-        J = assemble_jacobian(u, prob, 1.0, psi0=homotopy_rhs_field(prob)).matrix
+        J = _jacobian(u, prob, 1.0, homotopy_rhs_field(prob)).matrix
         strides = m ** np.arange(n - 1, -1, -1)
         assert J.offsets.tolist() == sorted(int(np.dot(o, strides)) for o in offsets)
         x = rng.standard_normal(g.num_interior)
@@ -423,7 +437,7 @@ def test_jacobian_diagonals_keep_row_sum_order(rng):
 def test_jacobian_row_sparsity():
     prob = _quadratic_problem(7)
     u = sample_expression(prob.subsolution, prob.grid)
-    sys_ = assemble_jacobian(u, prob, 1.0, psi0=homotopy_rhs_field(prob))
+    sys_ = _jacobian(u, prob, 1.0, homotopy_rhs_field(prob))
     assert sys_.matrix.shape == (prob.grid.num_interior, prob.grid.num_interior)
     assert np.diff(sys_.matrix.tocsr().indptr).max() <= 3**3
 

@@ -33,7 +33,6 @@ from hessquot.solver import (
     SolveReport,
     homotopy_rhs_field,
     linear_solve,
-    newton_stage,
     solve_dirichlet,
     validate_problem,
 )
@@ -151,7 +150,7 @@ def test_comparison_and_maximum_principle_with_increasing_forcing():
 def test_newton_stage_zero_iterations_when_converged():
     prob, _ = manufactured_problem(expr_mod.parse(QUAD, 3), _grid3(7), _spec31())
     u0 = sample_expression(prob.subsolution, prob.grid)
-    out = newton_stage(u0, 1.0, prob)
+    out = solver_mod._newton(u0, 1.0, prob, homotopy_rhs_field(prob))[0]
     assert out is u0
 
 
@@ -304,12 +303,14 @@ def test_newton_solves_with_the_stage_residual(monkeypatch):
 
     def residual_state(u, prob_, t, psi0_):
         out = real_state(u, prob_, t, psi0_)
-        states.append(t)
+        states.append((t, u, out[1]))
         return out
 
-    def assemble(u, prob_, t, **kwargs):
+    def assemble(prob_, t, state):
         before = len(psi_calls)
-        out = real_assemble(u, prob_, t, **kwargs)
+        out = real_assemble(prob_, t, state)
+        # the iterate whose state this is
+        u = next(u for _, u, fields in states if fields is state[1])
         seen.append([u, t, len(psi_calls) - before])
         return out
 
@@ -322,12 +323,13 @@ def test_newton_solves_with_the_stage_residual(monkeypatch):
     monkeypatch.setattr(grid_mod, "assemble_jacobian", assemble)
     monkeypatch.setattr(solver_mod, "linear_solve", solve)
     solve_dirichlet(prob)
-    assert all(t > 0.0 for t in states)
+    assert all(t > 0.0 for t, _, _ in states)
     assert len(psi_calls) == len(states) + 2
     assert seen
     for u, t, psi_evals, rhs in seen:
         assert t > 0.0 and psi_evals == 0
-        assert np.array_equal(rhs, real_assemble(u, prob, t, psi0=psi0).rhs)
+        state = grid_mod._residual_state(u, prob, t, psi0)
+        assert np.array_equal(rhs, real_assemble(prob, t, state).rhs)
 
 
 def test_validate_rejects_boundary_mismatch():
@@ -445,7 +447,8 @@ def test_homotopy_rhs_field_is_the_solvers_t0_forcing(monkeypatch):
     assert report.converged
     start, psi0 = calls[0]  # the first attempt starts on the start iterate
     assert homotopy_rhs_field(prob).tobytes() == psi0.tobytes()
-    assert np.array_equal(newton_stage(start, 0.0, prob).values, start.values)
+    out = newton(start, 0.0, prob, homotopy_rhs_field(prob))[0]
+    assert np.array_equal(out.values, start.values)
 
 
 def test_psi_derivatives_follow_a_reassigned_psi():
@@ -505,7 +508,7 @@ def test_validate_rejects_a_non_finite_field_forcing(bad):
         subsolution=expr_mod.parse(f"{SMOOTH3} - 0.55*{BUMP}", 3),
     )
     values = prob.psi.values.copy()
-    values[prob.grid.rows[2, 3, 4]] = bad
+    values[np.ravel_multi_index((1, 2, 3), prob.grid.interior_shape)] = bad  # node (2, 3, 4)
     prob.psi = solver_mod.PsiField(values)
     with pytest.raises(ProblemSpecError, match=r"psi is .* at node \(2, 3, 4\)"):
         validate_problem(prob)
@@ -599,6 +602,12 @@ def test_linear_solve_flags_singular():
         linear_solve(SparseSystem(matrix=A, rhs=np.array([1.0, 1.0])))
 
 
+def _jacobian(u, prob, t):
+    # the stage Jacobian at u, assembled from u's stage state
+    state = grid_mod._residual_state(u, prob, t, homotopy_rhs_field(prob))
+    return assemble_jacobian(prob, t, state)
+
+
 def _bump_system_3d():
     # 3-D (3,1), Jacobian at a bump-perturbed subsolution halfway along
     sub = expr_mod.parse(f"{QUAD} - 0.4*{BUMP}", 3)
@@ -606,14 +615,14 @@ def _bump_system_3d():
         expr_mod.parse(QUAD, 3), _grid3(11), _spec31(), subsolution=sub
     )
     u = sample_expression(prob.subsolution, prob.grid)
-    return assemble_jacobian(u, prob, 0.5, psi0=homotopy_rhs_field(prob))
+    return _jacobian(u, prob, 0.5)
 
 
 def _gradient_system_2d():
     # 2-D (2,0) with a gradient-dependent psi at t = 1: nonsymmetric
     prob = _continuation2d(17)
     u = sample_expression(prob.subsolution, prob.grid)
-    return assemble_jacobian(u, prob, 1.0, psi0=homotopy_rhs_field(prob))
+    return _jacobian(u, prob, 1.0)
 
 
 def _unequal_box_system_3d():
@@ -627,7 +636,7 @@ def _unequal_box_system_3d():
         subsolution=expr_mod.parse(f"{QUAD} - {bump}", 3),
     )
     u = sample_expression(prob.subsolution, g)
-    return assemble_jacobian(u, prob, 1.0, psi0=homotopy_rhs_field(prob))
+    return _jacobian(u, prob, 1.0)
 
 
 def _forbid_lu(monkeypatch):
@@ -858,7 +867,9 @@ def test_field_forcing_restricts_by_injection(n, res, spec):
     assert coarse.grid == Grid(res=(res + 1) // 2, **box)
     np.testing.assert_allclose(coarse.psi.values, direct.psi.values, rtol=1e-14, atol=0)
     # at odd res the transfer is the injection at every other fine node, bit for bit
-    injected = fine.psi.values[fine.grid.rows[(slice(2, -2, 2),) * n].reshape(-1)]
+    # grid nodes 2, 4, ..., res - 3 per axis: interior indices 1, 3, ..., res - 4
+    injected = fine.psi.values.reshape(fine.grid.interior_shape)[(slice(1, -1, 2),) * n]
+    injected = injected.reshape(-1)
     assert np.array_equal(coarse.psi.values, injected)
 
 
@@ -1028,3 +1039,36 @@ def test_coarse_grids_are_built_once(monkeypatch):
     _, report = solve_dirichlet(prob)
     assert _levels(report) == [(13, None), (25, None), (49, None)]
     assert built == []
+
+
+def test_a_repeated_solve_differentiates_nothing(monkeypatch):
+    # the coarse problems share psi's compiled program, and the exact
+    # derivatives of the subsolution are cached: solving the same problem
+    # again compiles no derivative on any of its three levels
+    prob = _continuation2d(49)
+    solve_dirichlet(prob)
+    calls = []
+    differentiate = expr_mod.differentiate
+
+    def count(e, var):
+        calls.append(var)
+        return differentiate(e, var)
+
+    monkeypatch.setattr(expr_mod, "differentiate", count)
+    _, report = solve_dirichlet(prob)
+    assert _levels(report) == [(13, None), (25, None), (49, None)]
+    assert calls == []
+    coarse = solver_mod._coarse_problem(prob)
+    assert coarse._psi_program is prob._psi_program and coarse.psi is prob.psi
+
+
+def test_field_forcing_partials_share_one_zero_row():
+    field = solver_mod.PsiField(np.arange(6.0))
+    u, p = np.ones((2, 3)), np.ones((2, 6))
+    first, second = field.terms(u, p), field.terms(u, p)
+    for a, b in zip(first[1:], second[1:]):
+        assert np.shares_memory(a, b)
+    assert np.shares_memory(first[1], first[2])
+    assert first[1].shape == (6,) and first[2].shape == (2, 6)
+    assert not first[1].any() and not first[2].any()
+    assert not first[1].flags.writeable and not first[2].flags.writeable
