@@ -29,11 +29,13 @@ closed form, which n in {2, 3} allows: with U = tau*tr(H)*I - H,
 sigma_1 = tr U, sigma_2 is the sum of the principal 2 x 2 minors and
 sigma_3 = det U; the Newton tensors T_j = d sigma_{j+1} / dU (Reilly
 1973) are T_0 = I, T_1 = sigma_1*I - U and, for n = 3, T_2 = adj U
-(Cayley-Hamilton).  ``operator_tensors`` is the kernel's non-raising
-half.  ``hessian_fields`` is total: on any Hessian components it returns
-the operator fields or raises NotAdmissibleError at the first node outside
-the cone, also where tau*tr(H)*I - H is not finite.  Stencils and sigma
-tables pass an overflow on silently, for the cone rule to report.
+(Cayley-Hamilton); T_{l-1}, l <= 1, is 0 or I and never stored.
+``operator_tensors`` is the kernel's non-raising half.  ``hessian_fields``
+is total: on any Hessian components it returns the operator fields or
+raises NotAdmissibleError at the first node outside the cone, also where
+tau*tr(H)*I - H is not finite.  Stencils and sigma tables pass an overflow
+on silently, for the cone rule to report.  A stage state holds psi's terms
+at every t; a field forcing gets p = None and runs no gradient stencil.
 """
 
 import math
@@ -75,11 +77,7 @@ class Grid:
     res: int
 
     def __post_init__(self):
-        for name in ("n", "res"):  # numpy integers pass, 9.0 does not
-            try:
-                object.__setattr__(self, name, operator.index(getattr(self, name)))
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
+        symfun.require_integers(self, "n", "res")
         if self.n not in (2, 3):
             raise ValueError(f"grid dimension must be 2 or 3, got {self.n}")
         if len(self.lo) != self.n or len(self.hi) != self.n:
@@ -400,26 +398,25 @@ def eta_components(A, tau, n):
 @dataclass(slots=True)
 class _OperatorFields:
     """Per-node operator data shared by residual and Jacobian assembly;
-    ``_residual_state`` adds psi_z and psi_p at its state when t > 0.
-    d_k = d sigma_k / dU (C, N) and d_l = d sigma_l / dU (C, 1), 0 or I,
-    are components in ``_pairs`` order."""
+    ``_residual_state`` adds psi_z and psi_p at its state.  d_k =
+    d sigma_k / dU (C, N) holds components in ``_pairs`` order."""
 
     values: np.ndarray
     margin: float
     tables: np.ndarray
     d_k: np.ndarray
-    d_l: np.ndarray
     psi_z: object = None
     psi_p: object = None
 
     def gradient(self, spec):
         """d operator / dU = (1/m) f^(1-m) (sigma_l d_k - sigma_k d_l) / sigma_l^2
-        at every node, m = k - l; components (C, N)."""
+        at every node, m = k - l, d_l = T_{l-1}; components (C, N)."""
         m = spec.degree_gap
         sk, sl = self.tables[:, spec.k], self.tables[:, spec.l]
         scale = self.values ** (1 - m) / (m * sl**2)
         G = sl * self.d_k
-        G -= sk * self.d_l
+        if spec.l == 1:
+            G[: spec.n] -= sk
         G *= scale
         return G
 
@@ -432,10 +429,9 @@ def operator_tensors(H, spec):
 
     Never raises or warns: an overflow stays in the table for the cone
     rule to report.  Returns U (C, N), the table [sigma_0..sigma_k]
-    (N, k + 1), d_k = T_{k-1} (C, N) and d_l = T_{l-1} (C, 1), which is
-    0 or I because l <= k - 2 <= 1.
+    (N, k + 1) and d_k = T_{k-1} (C, N).
     """
-    n, k, l = spec.n, spec.k, spec.l
+    n, k = spec.n, spec.k
     if n not in (2, 3):
         raise ValueError(f"the closed-form kernel needs n in {{2, 3}}, got {n}")
     U = eta_components(H, spec.tau, n)
@@ -465,9 +461,7 @@ def operator_tensors(H, spec):
         d_k[:n] += table[1]
     else:
         d_k = adj  # T_2
-    d_l = np.zeros((len(U), 1))  # T_{l-1}: 0 for l = 0, I for l = 1
-    d_l[:n] = l
-    return U, table.T, d_k, d_l
+    return U, table.T, d_k
 
 
 def hessian_fields(H, grid, spec):
@@ -477,7 +471,7 @@ def hessian_fields(H, grid, spec):
     The first node outside the order-k cone, finite or not, raises
     NotAdmissibleError (``symfun.require_cone``) with the node and the
     eigenvalues of its U, n NaN where U is not finite."""
-    U, tables, d_k, d_l = operator_tensors(H, spec)
+    U, tables, d_k = operator_tensors(H, spec)
 
     def eigenvalues(row):
         M = np.empty((spec.n, spec.n))
@@ -487,7 +481,7 @@ def hessian_fields(H, grid, spec):
     symfun.require_cone(tables, spec.k, eigenvalues, grid.interior_node)
     values = symfun._quotient_from_table(tables, spec.k, spec.l)
     margin = float(np.min(symfun.cone_margins(tables, spec.n)))
-    return _OperatorFields(values, margin, tables, d_k, d_l)
+    return _OperatorFields(values, margin, tables, d_k)
 
 
 def _operator_fields(values, grid, spec):
@@ -497,15 +491,13 @@ def _operator_fields(values, grid, spec):
 def _residual_state(u, prob, t, psi0):
     """Stage residual at parameter t and the operator fields of u.
 
-    The one evaluation of psi at this state: at t > 0 its psi_z and psi_p
-    go into the fields for assembly; at t = 0 psi is not needed."""
+    The one evaluation of psi at this state, at any t; a field forcing
+    gets gradients p = None, so no gradient stencil runs."""
     grid = prob.grid
     fields = _operator_fields(u.values, grid, prob.quotient)
-    forcing = np.asarray(psi0, dtype=float)
-    if t != 0.0:
-        p = interior_gradients(u.values, grid)
-        psi, fields.psi_z, fields.psi_p = prob.psi_terms(u.interior(), p)
-        forcing = t * psi + (1.0 - t) * forcing
+    p = None if prob.field_psi else interior_gradients(u.values, grid)
+    psi, fields.psi_z, fields.psi_p = prob.psi_terms(u.interior(), p)
+    forcing = t * psi + (1.0 - t) * np.asarray(psi0, dtype=float)
     return fields.values - forcing, fields
 
 
@@ -574,11 +566,10 @@ def assemble_jacobian(prob, t, state):
 
     for q, ((a, b), stencil) in zip(Q, grid.stencils.hessian.items()):
         add(q if a == b else 2.0 * q, stencil)
-    if t != 0.0:
-        W[(0,) * grid.n] -= t * fields.psi_z
-        if fields.psi_p.any():
-            for a, stencil in enumerate(grid.stencils.gradient):
-                add(-t * fields.psi_p[a], stencil)
+    W[(0,) * grid.n] -= t * fields.psi_z
+    if fields.psi_p.any():
+        for a, stencil in enumerate(grid.stencils.gradient):
+            add(-t * fields.psi_p[a], stencil)
 
     # Zero each weight whose neighbour is a boundary node: it has no column,
     # and its cell is a spare one or another node's (a wrap-around).

@@ -53,7 +53,7 @@ from .errors import (
     SolverError,
 )
 from .grid import Grid, GridFunction, _residual_state
-from .symfun import QuotientSpec
+from .symfun import QuotientSpec, require_integers
 
 log = logging.getLogger("hessquot.solver")
 
@@ -76,6 +76,7 @@ class NewtonParams:
             raise ValueError(
                 f"tol_residual must be finite and > 0, got {self.tol_residual}"
             )
+        require_integers(self, "max_iters")
         if not self.max_iters >= 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
 
@@ -107,14 +108,6 @@ class PsiField:
             raise ValueError("field forcing must be a flat interior vector")
         self._zero = np.zeros(self.values.shape[0])
         self._zero.flags.writeable = False
-
-    def terms(self, u, p):
-        """``ProblemSpec.psi_terms`` at the interior block u and the
-        gradients p (n, N): the values, the zero row (N,) and a read-only
-        (n, N) broadcast view of it."""
-        if self.values.shape[0] != u.size:
-            raise ValueError("field forcing length does not match interior size")
-        return self.values, self._zero, np.broadcast_to(self._zero, p.shape)
 
 
 @dataclass
@@ -175,9 +168,13 @@ class ProblemSpec:
 
         The shapes are (N,), (N,) and (n, N), for an expression and a
         PsiField alike; an expression that faults or gives NaN raises
-        DomainFaultError."""
+        DomainFaultError.  A PsiField reads neither u nor p (p may be None):
+        its terms are its values, its read-only zero row and a view of it."""
         if self.field_psi:
-            return self.psi.terms(u, p)
+            field = self.psi
+            if field.values.shape[0] != u.size:
+                raise ValueError("field forcing length does not match interior size")
+            return field.values, field._zero, np.broadcast_to(field._zero, (self.grid.n, u.size))
         shape = self.grid.interior_shape
         env = expr_mod.EvalEnv(x=self.grid.axes(interior=True), u=u, p=p.reshape(-1, *shape))
         psi, psi_z, psi_p = np.empty(u.size), np.empty(u.size), np.empty((self.grid.n, u.size))

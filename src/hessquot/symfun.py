@@ -15,6 +15,7 @@ every cone test in the package, the grid kernel's included, goes through it.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,12 +23,22 @@ import numpy as np
 from .errors import NotAdmissibleError, SamplerExhaustedError
 
 
+def require_integers(obj, *names):
+    """Set the named fields of the frozen dataclass obj to ints: numpy
+    integers pass, 3.0 does not (ValueError naming the field)."""
+    for name in names:
+        try:
+            object.__setattr__(obj, name, operator.index(getattr(obj, name)))
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {getattr(obj, name)!r}") from None
+
+
 @dataclass(frozen=True)
 class QuotientSpec:
     """The (n, k, l) triple plus the trace weight tau defining the operator
     (sigma_k / sigma_l)^(1/(k-l)) composed with A -> tau*tr(A)*I - A.
 
-    Requires 0 <= l, l + 2 <= k <= n and a finite tau >= 1.
+    Requires integers 0 <= l, l + 2 <= k <= n and a finite tau >= 1.
     """
 
     n: int
@@ -36,6 +47,7 @@ class QuotientSpec:
     tau: float = 1.0
 
     def __post_init__(self):
+        require_integers(self, "n", "k", "l")
         if self.n < 2:
             raise ValueError(f"dimension n must be >= 2, got {self.n}")
         if not (0 <= self.l and self.l + 2 <= self.k <= self.n):

@@ -94,8 +94,10 @@ def convergence_order(ustar, box_lo, box_hi, base_res, spec, levels=3, subsoluti
 
     Round-off-level errors (quadratic data) are reported as exact; a
     measured order below 1 is flagged as a discretization-bug signal.
-    Solver failures propagate.
+    Solver failures propagate; levels < 2 raises ValueError at once.
     """
+    if levels < 2:
+        raise ValueError(f"a convergence study needs levels >= 2, got {levels}")
     resolutions = [base_res]
     for _ in range(levels - 1):
         resolutions.append(2 * resolutions[-1] - 1)
@@ -174,7 +176,7 @@ def run_diagnostics(u, prob):
 
     # interior sigma table (never aborts: margins may come back negative or NaN)
     H = grid_mod.interior_hessians(u.values, g)
-    _, tables, _, _ = grid_mod.operator_tensors(H, spec)
+    _, tables, _ = grid_mod.operator_tensors(H, spec)
     margins = symfun.cone_margins(tables, spec.n)
     marg_row = int(np.argmin(margins))
 
@@ -182,7 +184,7 @@ def run_diagnostics(u, prob):
         lap = H[: g.n].sum(axis=0)
     lap_row = int(np.argmin(lap))
 
-    p = grid_mod.interior_gradients(u.values, g)
+    p = None if prob.field_psi else grid_mod.interior_gradients(u.values, g)
     psi, psi_z, _ = prob.psi_terms(u.interior(), p)
     psi_row = int(np.argmin(psi))
     psi_min = float(psi[psi_row])

@@ -21,6 +21,7 @@ from hessquot.verify import manufactured_problem, sigma_bruteforce
 
 from conftest import (
     OVERFLOW_OCTIC,
+    admissible_matrix,
     inverse_eta,
     random_orthogonal,
     to_components,
@@ -72,7 +73,7 @@ def cases(draw):
 def test_kernel_matches_eigen_route(case):
     spec, lam, H = case
     n, k = spec.n, spec.k
-    _, tables, _, _ = grid_mod.operator_tensors(to_components(H[None]), spec)
+    _, tables, _ = grid_mod.operator_tensors(to_components(H[None]), spec)
     ref = np.array([sigma_bruteforce(lam, j) for j in range(k + 1)])
     scale = np.abs(lam).max() ** np.arange(k + 1)
     assert np.all(np.abs(tables[0] - ref) <= 1e-12 * scale)
@@ -95,6 +96,24 @@ def test_kernel_matches_eigen_route(case):
         G = to_stack(fields.gradient(spec), n)[0]
         G_ref = operator_gradient(eta_transform(H, spec.tau), spec)
         assert np.abs(G - G_ref).max() <= 1e-11 * np.abs(G_ref).max()
+
+
+@pytest.mark.parametrize("tau", [1.0, 1.5])
+@pytest.mark.parametrize("n, k, l", [(2, 2, 0), (3, 2, 0), (3, 3, 0), (3, 3, 1)])
+def test_gradient_matches_a_stored_lower_tensor_bit_for_bit(rng, n, k, l, tau):
+    # the reference multiplies sigma_k into T_{l-1} = d sigma_l / dU held
+    # as its explicit component array, 0 for l = 0 and I for l = 1
+    spec = QuotientSpec(n, k, l, tau=tau)
+    H = np.stack([inverse_eta(admissible_matrix(rng, spec), tau) for _ in range(64)])
+    fields = grid_mod.hessian_fields(to_components(H), Grid(n, (0,) * n, (1,) * n, 5), spec)
+    m = spec.degree_gap
+    sk, sl = fields.tables[:, k], fields.tables[:, l]
+    d_l = np.zeros((len(fields.d_k), 1))
+    d_l[:n] = l
+    ref = sl * fields.d_k
+    ref -= sk * d_l
+    ref *= fields.values ** (1 - m) / (m * sl**2)
+    assert fields.gradient(spec).tobytes() == ref.tobytes()
 
 
 def test_inadmissible_node_reported_alike_by_every_caller():
@@ -197,7 +216,7 @@ def test_sigma_table_stays_finite_where_only_the_trace_overflows():
     a = np.sqrt(1.2e308)
     spec = QuotientSpec(2, 2, 0)
     H = inverse_eta(np.diag([a, a]), spec.tau)[None]
-    _, tables, _, _ = grid_mod.operator_tensors(to_components(H), spec)
+    _, tables, _ = grid_mod.operator_tensors(to_components(H), spec)
     assert np.isfinite(tables).all()
     assert np.allclose(tables[0], symfun.sigma_all([a, a]), rtol=1e-14, atol=0.0)
 

@@ -1063,12 +1063,47 @@ def test_a_repeated_solve_differentiates_nothing(monkeypatch):
 
 
 def test_field_forcing_partials_share_one_zero_row():
-    field = solver_mod.PsiField(np.arange(6.0))
-    u, p = np.ones((2, 3)), np.ones((2, 6))
-    first, second = field.terms(u, p), field.terms(u, p)
+    g = Grid(n=2, lo=(0, 0), hi=(1, 1), res=5)
+    quad = expr_mod.parse("(x1^2 + x2^2)/2", 2)
+    prob = ProblemSpec(grid=g, quotient=QuotientSpec(2, 2, 0),
+                       psi=solver_mod.PsiField(np.arange(9.0)), phi=quad, subsolution=quad)
+    u = np.ones(g.interior_shape)
+    first, second = prob.psi_terms(u, None), prob.psi_terms(u, np.ones((2, 9)))
     for a, b in zip(first[1:], second[1:]):
         assert np.shares_memory(a, b)
     assert np.shares_memory(first[1], first[2])
-    assert first[1].shape == (6,) and first[2].shape == (2, 6)
+    assert first[1].shape == (9,) and first[2].shape == (2, 9)
     assert not first[1].any() and not first[2].any()
     assert not first[1].flags.writeable and not first[2].flags.writeable
+
+
+@pytest.mark.parametrize("max_iters", [2.5, 3.0, "3", None])
+def test_newton_params_reject_non_integer_max_iters(max_iters):
+    with pytest.raises(ValueError, match="^max_iters must be an integer"):
+        NewtonParams(max_iters=max_iters)
+
+
+def test_newton_params_take_numpy_integers():
+    params = NewtonParams(max_iters=np.int64(3))
+    assert params == NewtonParams(max_iters=3) and type(params.max_iters) is int
+
+
+def test_field_forcing_solve_runs_no_gradient_stencil(monkeypatch):
+    # a field forcing reads no gradients: neither the stage states nor the
+    # diagnostics compute them
+    calls = []
+    gradients = grid_mod.interior_gradients
+
+    def count(values, grid):
+        calls.append(grid.res)
+        return gradients(values, grid)
+
+    monkeypatch.setattr(grid_mod, "interior_gradients", count)
+    ustar = "exp((x1^2 + x2^2)/4)"
+    prob, _ = manufactured_problem(
+        expr_mod.parse(ustar, 2), Grid(2, (0, 0), (1, 1), 9), QuotientSpec(2, 2, 0),
+        subsolution=expr_mod.parse(f"{ustar} - 0.3*x1*(1-x1)*x2*(1-x2)", 2),
+    )
+    _, report = solve_dirichlet(prob)
+    assert report.converged and len(report.stages) > 2
+    assert calls == []

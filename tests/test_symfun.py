@@ -316,5 +316,10 @@ def test_spec_validation():
         QuotientSpec(3, 4, 1)  # k > n
     with pytest.raises(ValueError):
         QuotientSpec(3, 3, 1, tau=0.5)
+    for field, args in (("k", (3, 2.5, 0)), ("n", (3.0, 2, 0)), ("l", (3, 3, "1"))):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            QuotientSpec(*args)
+    spec = QuotientSpec(np.int64(3), np.int32(3), np.int64(1))
+    assert spec == QuotientSpec(3, 3, 1) and type(spec.k) is int
     with pytest.raises(ValueError):
         symfun.sigma_all([1.0, np.nan, 2.0])

@@ -6,6 +6,7 @@ import pytest
 
 from hessquot import expr as expr_mod
 from hessquot import symfun
+from hessquot import verify as verify_mod
 from hessquot.errors import NotAdmissibleError, OracleScaleError
 from hessquot.grid import Grid, sample_expression
 from hessquot.solver import ProblemSpec
@@ -98,6 +99,19 @@ def test_convergence_order_second_order_on_smooth():
     assert not study.exact
     assert 1.7 <= study.order <= 2.3
     assert not study.suspect
+
+
+@pytest.mark.parametrize("levels", [1, 0])
+def test_convergence_order_rejects_fewer_than_two_levels(monkeypatch, levels):
+    def solve(prob):
+        raise AssertionError("solved before checking levels")
+
+    monkeypatch.setattr(verify_mod, "solve_dirichlet", solve)
+    with pytest.raises(ValueError, match="levels >= 2"):
+        convergence_order(
+            expr_mod.parse("exp((x1^2 + x2^2)/4)", 2), (0, 0), (1, 1), 9,
+            QuotientSpec(2, 2, 0), levels=levels,
+        )
 
 
 def test_diagnostics_on_clean_solve():
