@@ -13,13 +13,19 @@ Stencil Hessians, gradients and the Jacobian all read that table; only
 the pointwise ``fd_*`` reference keeps its own copy.  The Jacobian is its
 stencil diagonals: assembly accumulates one weight array per stencil
 offset and stores each, shifted by its flat row-major offset, as one
-diagonal of a scipy DIA matrix.
+diagonal of a scipy DIA matrix.  What a grid's stencils and assembly
+index is built once per grid: the view of each stencil offset
+(``Grid.views``) and the DIA buffer's layout with the cells of every
+weight whose neighbour is a boundary node (``Grid.jacobian_layout``),
+which assembly clears with one indexed write.
 
 Problem expressions are sampled through ``expr.Program`` on the cached
 node axes of ``Grid.axes``, the one coordinate representation: at every
 node by ``sample_expression``, and with exact symbolic first and second
 derivatives at the interior nodes by ``exact_derivatives``, the one
-exact sampler.  Gradients are component first, (n, N), like Hessians.
+exact sampler.  Each keeps its compiled program in a process-wide cache
+keyed by the printed tree, so an expression is compiled once per
+process.  Gradients are component first, (n, N), like Hessians.
 
 Hessians are held as structure of arrays: the n(n+1)/2 unique components
 H_ab, a <= b, each a contiguous length-N row of a (C, N) array, in the
@@ -33,9 +39,11 @@ sigma_3 = det U; the Newton tensors T_j = d sigma_{j+1} / dU (Reilly
 ``operator_tensors`` is the kernel's non-raising half.  ``hessian_fields``
 is total: on any Hessian components it returns the operator fields or
 raises NotAdmissibleError at the first node outside the cone, also where
-tau*tr(H)*I - H is not finite.  Stencils and sigma tables pass an overflow
-on silently, for the cone rule to report.  A stage state holds psi's terms
-at every t; a field forcing gets p = None and runs no gradient stencil.
+tau*tr(H)*I - H is not finite; it decides the cone from the margins it
+reports and runs the exact rule only where some margin fails.  Stencils
+and sigma tables pass an overflow on silently, for the cone rule to
+report.  A stage state holds psi's terms at every t; a field forcing gets
+p = None and runs no gradient stencil.
 """
 
 import math
@@ -186,6 +194,34 @@ class Grid:
                      for o in sorted({o for _, terms in used for o, _ in terms}))
 
     @cached_property
+    def views(self):
+        """Index of the interior block of a nodal array displaced by each
+        ``jacobian_offsets`` offset (entries in {-1, 0, 1}), keyed by offset."""
+        res = self.res
+        return {o: tuple(slice(1 + s, res - 1 + s) for s in o) for o, _ in self.jacobian_offsets}
+
+    @cached_property
+    def jacobian_layout(self):
+        """(F, width, cleared), the buffer behind the Jacobian's DIA data
+        (see ``assemble_jacobian``): F = max |f| spare cells, then one row
+        of width N + 2F per ``jacobian_offsets`` entry.  ``cleared`` holds
+        the buffer index of each weight whose stencil neighbour is a
+        boundary node, read-only."""
+        nint, diagonals = self.num_interior, self.jacobian_offsets
+        spare = max(abs(f) for _, f in diagonals)
+        width = nint + 2 * spare
+        cleared = []
+        for k, (o, f) in enumerate(diagonals):
+            edge = np.zeros(self.interior_shape, dtype=bool)
+            for a, s in enumerate(o):
+                if s:
+                    edge[(slice(None),) * a + (-1 if s > 0 else 0,)] = True
+            cleared.append(spare + k * width + f + np.flatnonzero(edge))
+        cleared = np.concatenate(cleared)
+        cleared.flags.writeable = False
+        return spare, width, cleared
+
+    @cached_property
     def sine_basis(self):
         """Orthonormal, symmetric sine matrix S (m x m, m = res - 2) with
         S[j, k] = sqrt(2/(m+1)) sin(pi (j+1) (k+1) / (m+1)).
@@ -280,10 +316,20 @@ class SparseSystem:
     grid: Grid | None = None
 
 
+@cache
+def _sample_program(e, text):
+    """The program of an expression of x; ``text`` is ``to_string(e)``,
+    read only as part of the cache key, as for ``_derivative_program``."""
+    return expr_mod.Program([e])
+
+
 def sample_expression(e, grid):
-    """Evaluate an expression of x at every node."""
+    """Evaluate an expression of x at every node.  The compiled program
+    is kept in a process-wide cache keyed by the printed tree (unbounded,
+    one entry per distinct expression)."""
     values = np.empty(grid.shape)
-    expr_mod.Program([e]).run(expr_mod.EvalEnv(x=grid.axes()), [values])
+    program = _sample_program(e, expr_mod.to_string(e))
+    program.run(expr_mod.EvalEnv(x=grid.axes()), [values])
     return GridFunction(grid, values)
 
 
@@ -341,21 +387,14 @@ def fd_hessian(u, node):
     return H
 
 
-def _shifted(values, offset):
-    # View of the interior block displaced by ``offset`` (entries in {-1,0,1}).
-    res = values.shape[0]
-    idx = tuple(slice(1 + o, res - 1 + o) for o in offset)
-    return values[idx]
-
-
-def _apply(values, stencil, out=None):
-    """One ``Grid.stencils`` entry at every interior node, interior_shape;
-    written into ``out`` when given."""
+def _apply(values, stencil, views, out):
+    """One ``Grid.stencils`` entry at every interior node, written into
+    ``out`` (interior_shape); ``views`` is the grid's ``Grid.views``."""
     divisor, terms = stencil
     (o, c), *rest = terms
-    acc = np.multiply(c, _shifted(values, o), out=out)
+    acc = np.multiply(c, values[views[o]], out=out)
     for o, c in rest:
-        view = _shifted(values, o)
+        view = values[views[o]]
         if c == 1.0:  # the bits of c * view, without the multiply
             acc += view
         elif c == -1.0:
@@ -372,7 +411,7 @@ def interior_gradients(values, grid):
     row a is du/dx_a."""
     P = np.empty((grid.n, grid.num_interior))
     for row, stencil in zip(P, grid.stencils.gradient):
-        _apply(values, stencil, out=row.reshape(grid.interior_shape))
+        _apply(values, stencil, grid.views, row.reshape(grid.interior_shape))
     return P
 
 
@@ -382,7 +421,7 @@ def interior_hessians(values, grid):
     row c is H_ab for the c-th key (a, b) of ``Grid.stencils.hessian``."""
     H = np.empty((len(grid.stencils.hessian), grid.num_interior))
     for row, stencil in zip(H, grid.stencils.hessian.values()):
-        _apply(values, stencil, out=row.reshape(grid.interior_shape))
+        _apply(values, stencil, grid.views, row.reshape(grid.interior_shape))
     return H
 
 
@@ -470,18 +509,21 @@ def hessian_fields(H, grid, spec):
 
     The first node outside the order-k cone, finite or not, raises
     NotAdmissibleError (``symfun.require_cone``) with the node and the
-    eigenvalues of its U, n NaN where U is not finite."""
+    eigenvalues of its U, n NaN where U is not finite.  Every margin that
+    passes ``cone_holds`` puts its node in the cone, so the exact rule
+    runs only when some margin fails: at a node outside the cone, or
+    inside it where sigma_j / C(n, j) underflows to 0."""
     U, tables, d_k = operator_tensors(H, spec)
-
-    def eigenvalues(row):
-        M = np.empty((spec.n, spec.n))
-        for (a, b), value in zip(_pairs(spec.n), U[:, row]):
-            M[a, b] = M[b, a] = value
-        return sym_eig(M).values if np.isfinite(M).all() else np.full(spec.n, np.nan)
-    symfun.require_cone(tables, spec.k, eigenvalues, grid.interior_node)
+    margins = symfun.cone_margins(tables, spec.n)
+    if not symfun.cone_holds(margins).all():
+        def eigenvalues(row):
+            M = np.empty((spec.n, spec.n))
+            for (a, b), value in zip(_pairs(spec.n), U[:, row]):
+                M[a, b] = M[b, a] = value
+            return sym_eig(M).values if np.isfinite(M).all() else np.full(spec.n, np.nan)
+        symfun.require_cone(tables, spec.k, eigenvalues, grid.interior_node)
     values = symfun._quotient_from_table(tables, spec.k, spec.l)
-    margin = float(np.min(symfun.cone_margins(tables, spec.n)))
-    return _OperatorFields(values, margin, tables, d_k)
+    return _OperatorFields(values, float(np.min(margins)), tables, d_k)
 
 
 def _operator_fields(values, grid, spec):
@@ -544,8 +586,7 @@ def assemble_jacobian(prob, t, state):
     # either end of data[k, :N], into cells DIA ignores: each data row ends
     # in 2F spare columns, and buf holds F cells before data.
     diagonals = grid.jacobian_offsets
-    spare = max(abs(f) for _, f in diagonals)
-    width = nint + 2 * spare
+    spare, width, cleared = grid.jacobian_layout
     buf = np.zeros(spare + len(diagonals) * width)
     W = {o: buf[spare + k * width + f:][:nint] for k, (o, f) in enumerate(diagonals)}
 
@@ -573,11 +614,7 @@ def assemble_jacobian(prob, t, state):
 
     # Zero each weight whose neighbour is a boundary node: it has no column,
     # and its cell is a spare one or another node's (a wrap-around).
-    for o, row in W.items():
-        row = row.reshape(grid.interior_shape)
-        for a, s in enumerate(o):
-            if s:
-                row[(slice(None),) * a + (-1 if s > 0 else 0,)] = 0.0
+    buf[cleared] = 0.0
     data = buf[spare:].reshape(len(diagonals), width)
     matrix = sparse.dia_matrix((data, [f for _, f in diagonals]), shape=(nint, nint))
     return SparseSystem(matrix=matrix, rhs=-r, grid=grid)

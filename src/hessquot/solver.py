@@ -114,8 +114,8 @@ class PsiField:
 class ProblemSpec:
     """Everything one Dirichlet solve needs.
 
-    psi may be an expression of (x, u, p) or a PsiField; phi and the
-    subsolution are expressions of x alone.  The subsolution must match
+    psi may be an expression of (x, u, p) or a PsiField with one value per
+    interior node; phi and the subsolution are expressions of x alone.  The subsolution must match
     phi on the boundary and satisfy the operator inequality
     operator(U[subsolution]) >= psi at every interior node (checked with
     exact symbolic derivatives at load time).
@@ -143,6 +143,11 @@ class ProblemSpec:
     def __post_init__(self):
         if self.grid.n != self.quotient.n:
             raise ValueError("grid dimension and operator dimension disagree")
+        if self.field_psi and self.psi.values.shape[0] != self.grid.num_interior:
+            raise ProblemSpecError(
+                f"field forcing has {self.psi.values.shape[0]} values for "
+                f"{self.grid.num_interior} interior nodes"
+            )
         for name in ("phi", "subsolution"):
             e = getattr(self, name)
             bad = expr_mod.variables(e) - {f"x{i+1}" for i in range(self.grid.n)}
@@ -323,14 +328,17 @@ def linear_solve(sys):
     Systems without a grid, and grid systems whose GMRES result misses
     the gate below, are solved by sparse LU.  The relative residual must
     come back below 1e-10; anything else is reported as a singular system,
-    which in practice means the admissibility margin collapsed.
+    which in practice means the admissibility margin collapsed.  On the
+    GMRES path the gate reads the true residual norm that _gmres computed
+    for its own stop test, so no product follows it.
     """
     rhs = sys.rhs
     bnorm = np.linalg.norm(rhs)
     if sys.grid is not None and bnorm > 0.0:
-        delta = _krylov_solve(sys)
-        if delta is not None and _relres(sys.matrix, delta, rhs, bnorm) <= _RELRES_GATE:
-            return delta
+        result = _krylov_solve(sys)
+        # NaN (from a non-finite delta) compares false against any gate
+        if result is not None and result[1] / bnorm <= _RELRES_GATE:
+            return result[0]
     from scipy.sparse import linalg as sparse_linalg  # GMRES solves almost every system
 
     matrix = sys.matrix.tocsc()
@@ -344,7 +352,7 @@ def linear_solve(sys):
             "(probable admissibility-margin collapse)"
         )
     if bnorm > 0.0:
-        rel = _relres(matrix, delta, rhs, bnorm)
+        rel = np.linalg.norm(matrix @ delta - rhs) / bnorm
         if rel > _RELRES_GATE:
             raise SingularSystemError(
                 f"linear solve residual {rel:.3e} exceeds 1e-10 "
@@ -353,14 +361,10 @@ def linear_solve(sys):
     return delta
 
 
-def _relres(matrix, delta, rhs, bnorm):
-    # NaN (from a non-finite delta) compares false against any gate.
-    return np.linalg.norm(matrix @ delta - rhs) / bnorm
-
-
 def _krylov_solve(sys):
-    """Sine-preconditioned GMRES on a grid system; None when the scaling
-    diagonal has a zero or non-finite entry or GMRES does not converge."""
+    """Sine-preconditioned GMRES on a grid system: _gmres's (x, ||rhs -
+    matrix x||), or None when the scaling diagonal has a zero or
+    non-finite entry or GMRES does not converge."""
     grid = sys.grid
     matrix = sys.matrix
     d = matrix.diagonal() / grid.laplacian_diagonal
@@ -370,14 +374,16 @@ def _krylov_solve(sys):
 
 
 def _gmres(matrix, b, precond):
-    """x with ||b - matrix x|| <= _GMRES_RTOL ||b|| by right-preconditioned
-    GMRES(_GMRES_RESTART) (Saad & Schultz, SIAM J. Sci. Stat. Comput.
-    1986), with M^{-1} = precond; None when _GMRES_CYCLES cycles (see
-    _gmres_cycle) do not reach it.  b must be nonzero.
+    """(x, ||b - matrix x||) with ||b - matrix x|| <= _GMRES_RTOL ||b|| by
+    right-preconditioned GMRES(_GMRES_RESTART) (Saad & Schultz, SIAM J.
+    Sci. Stat. Comput. 1986), with M^{-1} = precond; None when
+    _GMRES_CYCLES cycles (see _gmres_cycle) do not reach it.  b must be
+    nonzero.
 
     Every cycle restarts from the true residual b - matrix x, and x is
     returned only once that true residual is within the tolerance, never
-    on the Arnoldi estimate alone.
+    on the Arnoldi estimate alone; its norm, the one that stop test read,
+    is returned with it.
     """
     tol = _GMRES_RTOL * np.linalg.norm(b)
     # one basis for every cycle, and no preconditioned basis: each cycle
@@ -391,8 +397,9 @@ def _gmres(matrix, b, precond):
             return None
         x += dx
         r = b - matrix @ x
-        if np.linalg.norm(r) <= tol:  # a NaN residual fails
-            return x
+        rnorm = np.linalg.norm(r)
+        if rnorm <= tol:  # a NaN residual fails
+            return x, rnorm
     return None
 
 

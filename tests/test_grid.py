@@ -519,6 +519,15 @@ def test_exact_derivatives_tell_signed_zero_literals_apart():
     assert not np.signbit(plus).any() and np.signbit(minus).all()
 
 
+def test_sampling_tells_signed_zero_literals_apart():
+    # equal trees under == (0.0 == -0.0) that sample to zeros of opposite
+    # sign: the second is not served the first's program
+    g = _grid2(5)
+    plus, minus = (sample_expression(expr_mod.Num(v), g).values for v in (0.0, -0.0))
+    assert expr_mod.Num(0.0) == expr_mod.Num(-0.0)
+    assert not np.signbit(plus).any() and np.signbit(minus).all()
+
+
 def _meshgrid_points(g, interior=False):
     # the (N, n) point array of the grid's nodes, row-major, built with
     # np.meshgrid: the point sampling the axis samplers must reproduce

@@ -15,7 +15,7 @@ from hessquot import symfun
 from hessquot.errors import NotAdmissibleError, ProblemSpecError
 from hessquot.grid import Grid, assemble_residual, sample_expression
 from hessquot.solver import ProblemSpec, validate_problem
-from hessquot.spectral import eta_transform, operator_gradient
+from hessquot.spectral import eta_transform, operator_gradient, sym_eig
 from hessquot.symfun import QuotientSpec
 from hessquot.verify import manufactured_problem, sigma_bruteforce
 
@@ -233,3 +233,69 @@ def test_kernel_accepts_a_finite_sigma_table_near_overflow():
     assert symfun.in_gamma_k(lam, spec.k).all()
     assert np.isfinite(fields.values).all()
     assert np.allclose(fields.tables, symfun.sigma_all(lam), rtol=1e-12, atol=0.0)
+
+
+def _poked_quad(g):
+    # the quadratic with one node at 1.7e308: U is not finite at (3, 3)
+    u = sample_expression(expr_mod.parse("(x1^2 + x2^2)/2", 2), g)
+    u.values[4, 4] = 1.7e308
+    return u
+
+
+@pytest.mark.parametrize(
+    "hi, state",
+    [
+        (1, lambda g: sample_expression(expr_mod.parse("(x1^2 + x2^2)/2 - x1^3", 2), g)),
+        (2, lambda g: sample_expression(expr_mod.parse(OVERFLOW_OCTIC, 2), g)),
+        (1, _poked_quad),
+    ],
+    ids=["outside", "overflow", "not-finite"],
+)
+def test_margin_decided_cone_failure_is_the_exact_rules(hi, state):
+    # hessian_fields decides the cone from its margins; where one fails it
+    # must raise what require_cone raises on the same table
+    g = Grid(n=2, lo=(0, 0), hi=(hi, hi), res=9)
+    spec = QuotientSpec(2, 2, 0)
+    H = grid_mod.interior_hessians(state(g).values, g)
+    with pytest.raises(NotAdmissibleError) as err:
+        grid_mod.hessian_fields(H, g, spec)
+
+    U, tables, _ = grid_mod.operator_tensors(H, spec)
+
+    def eigenvalues(row):
+        M = to_stack(U[:, row : row + 1], spec.n)[0]
+        return sym_eig(M).values if np.isfinite(M).all() else np.full(spec.n, np.nan)
+
+    with pytest.raises(NotAdmissibleError) as ref:
+        symfun.require_cone(tables, spec.k, eigenvalues, g.interior_node)
+    got, want = err.value, ref.value
+    assert (got.node, got.failing_index, got.overflow) == (want.node, want.failing_index, want.overflow)
+    assert np.array_equal(got.lam, want.lam, equal_nan=True)
+    assert str(got) == str(want)
+
+
+def test_margin_underflow_inside_the_cone_does_not_raise(monkeypatch):
+    # U = 2^-511 [[1, 1 - 2^-53, 1], [1 - 2^-53, 1, 1], [1, 1, 1]]: sigma_1
+    # and sigma_2 = 2^-1074 are > 0, so every node is in Gamma_2, but the
+    # margin sigma_2 / 3 underflows to 0 and fails cone_holds; the exact
+    # rule then runs once, and admits the nodes
+    spec = QuotientSpec(3, 2, 0)
+    g = Grid(3, (0, 0, 0), (1, 1, 1), 5)
+    h, x = 2.0**-512, np.nextafter(2.0**-511, 0.0)
+    H = np.repeat([[h], [h], [h], [-x], [-2 * h], [-2 * h]], g.num_interior, axis=1)
+    calls = []
+    require_cone = symfun.require_cone
+
+    def count(*args):
+        calls.append(1)
+        return require_cone(*args)
+
+    monkeypatch.setattr(symfun, "require_cone", count)
+    fields = grid_mod.hessian_fields(H, g, spec)
+    assert calls == [1]
+    assert np.all(fields.tables[:, 2] == 2.0**-1074)
+    assert symfun.cone_holds(fields.tables[:, 1:]).all()
+    assert fields.margin == 0.0
+    # where every margin passes, the exact rule does not run
+    grid_mod.hessian_fields(np.repeat([[1.0], [1.0], [1.0], [0.0], [0.0], [0.0]], 27, axis=1), g, spec)
+    assert calls == [1]

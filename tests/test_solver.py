@@ -677,9 +677,9 @@ def test_gmres_meets_rtol_on_the_true_residual(make):
     A, b = sys_.matrix, sys_.rhs
     precond = _sine_precond(sys_)
     tol = 1e-12 * np.linalg.norm(b)
-    x = solver_mod._gmres(A, b, precond)
+    x, _ = solver_mod._gmres(A, b, precond)
     assert np.linalg.norm(b - A @ x) <= tol
-    assert x.tobytes() == solver_mod._gmres(A, b, precond).tobytes()
+    assert x.tobytes() == solver_mod._gmres(A, b, precond)[0].tobytes()
     # one cycle gets there: it stops on the Arnoldi estimate, which is the
     # true residual while the Givens rotations are right and the basis
     # stays orthonormal
@@ -698,6 +698,46 @@ def test_gmres_meets_rtol_on_the_true_residual(make):
     mid = b.shape[0] // 2
     singular = _with_row(sys_, mid, source=mid + 1)
     assert solver_mod._gmres(singular.matrix, b, _sine_precond(singular)) is None
+
+
+class _CountedMatrix:
+    # a grid system's matrix that counts its products with vectors
+    def __init__(self, matrix):
+        self.matrix = matrix
+        self.products = 0
+
+    def __matmul__(self, v):
+        self.products += 1
+        return self.matrix @ v
+
+    def diagonal(self):
+        return self.matrix.diagonal()
+
+
+@pytest.mark.parametrize("make", [_bump_system_3d, _gradient_system_2d])
+def test_krylov_gate_reads_the_last_gmres_residual(make, monkeypatch):
+    # the gate reuses the true residual norm of GMRES's own stop test:
+    # no product follows it, and the gated value is the one recomputing
+    # it would give, bit for bit
+    sys_ = make()
+    A, b = sys_.matrix, sys_.rhs
+    counted = _CountedMatrix(A)
+    seen = []
+    gmres = solver_mod._gmres
+
+    def spy(*args):
+        out = gmres(*args)
+        seen.append((out, counted.products))
+        return out
+
+    monkeypatch.setattr(solver_mod, "_gmres", spy)
+    _forbid_lu(monkeypatch)
+    delta = linear_solve(SparseSystem(matrix=counted, rhs=b, grid=sys_.grid))
+    [((x, rnorm), products)] = seen
+    assert counted.products == products
+    assert delta is x
+    bnorm = np.linalg.norm(b)
+    assert rnorm / bnorm == np.linalg.norm(A @ x - b) / bnorm
 
 
 def test_continuation_never_falls_back_to_lu(monkeypatch):
@@ -780,7 +820,12 @@ def test_unchecked_gmres_result_is_never_returned(fake, monkeypatch):
         lu_calls.append(1)
         return spsolve(*args, **kwargs)
 
-    monkeypatch.setattr(solver_mod, "_gmres", lambda A, b, precond: fake(ref.copy()))
+    def reported(A, b, precond):
+        # a stand-in for _gmres: the fake's x with its true residual norm
+        x = fake(ref.copy())
+        return None if x is None else (x, np.linalg.norm(b - A @ x))
+
+    monkeypatch.setattr(solver_mod, "_gmres", reported)
     monkeypatch.setattr(sparse_linalg, "spsolve", spy)
     delta = linear_solve(sys_)
     assert lu_calls == [1]
@@ -1060,6 +1105,16 @@ def test_a_repeated_solve_differentiates_nothing(monkeypatch):
     assert calls == []
     coarse = solver_mod._coarse_problem(prob)
     assert coarse._psi_program is prob._psi_program and coarse.psi is prob.psi
+
+
+def test_problem_spec_rejects_a_field_forcing_of_the_wrong_length():
+    # it passed construction, and the solve failed in psi_terms with an
+    # untyped ValueError
+    g = Grid(n=2, lo=(0, 0), hi=(1, 1), res=9)
+    quad = expr_mod.parse("(x1^2 + x2^2)/2", 2)
+    with pytest.raises(ProblemSpecError, match="field forcing has 5 values for 49 interior nodes"):
+        ProblemSpec(grid=g, quotient=QuotientSpec(2, 2, 0),
+                    psi=solver_mod.PsiField(np.ones(5)), phi=quad, subsolution=quad)
 
 
 def test_field_forcing_partials_share_one_zero_row():
