@@ -280,8 +280,7 @@ def run(config_path, args):
     if "report" in out:
         _write_report(out["report"], record)
 
-    diag = report.diagnostics
-    clean = diag is not None and diag.all_ok() and not report.warnings
+    clean = report.diagnostics.all_ok() and not report.warnings
     stage = report.stages[-1]
     log.info(
         "converged=%s stages=%d final_residual=%.3e diagnostics=%s",

@@ -121,15 +121,12 @@ def _tokenize(text):
     pos = 0
     while pos < len(text):
         m = _TOKEN.match(text, pos)
-        if m is None or m.end() == m.start():
+        if m is None:
             stripped = text[pos:].lstrip()
             if not stripped:
                 break
             bad = len(text) - len(stripped)
             raise ParseError(f"unexpected character {text[bad]!r}", bad)
-        if m.lastgroup is None:
-            pos = m.end()
-            continue
         kind = m.lastgroup
         tokens.append((kind, m.group(kind), m.start(kind)))
         pos = m.end()
@@ -475,12 +472,9 @@ def _mul(a, b):
 
 
 def _div(a, b):
+    # _diff divides by a literal only where the numerator is literal 0
     if _is_num(a, 0.0) and not _is_num(b, 0.0):
         return Num(0.0)
-    if _is_num(b, 1.0):
-        return a
-    if _is_num(a) and _is_num(b) and b.value != 0.0:
-        return Num(a.value / b.value)
     return BinOp("/", a, b)
 
 

@@ -394,15 +394,19 @@ def _apply(values, stencil, views, out):
     (o, c), *rest = terms
     acc = np.multiply(c, values[views[o]], out=out)
     for o, c in rest:
-        view = values[views[o]]
-        if c == 1.0:  # the bits of c * view, without the multiply
-            acc += view
-        elif c == -1.0:
-            acc -= view
-        else:
-            acc += c * view
+        _add_scaled(acc, c, values[views[o]])
     acc /= divisor
     return acc
+
+
+def _add_scaled(acc, coef, w):
+    """acc += coef * w in place, with no multiply (same bits) for coef +-1."""
+    if coef == 1.0:
+        acc += w
+    elif coef == -1.0:
+        acc -= w
+    else:
+        acc += coef * w
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the cone rule reports overflow
@@ -597,13 +601,7 @@ def assemble_jacobian(prob, t, state):
         divisor, terms = stencil
         w = q / divisor
         for offset, coef in terms:
-            row = W[offset]
-            if coef == 1.0:
-                row += w
-            elif coef == -1.0:
-                row -= w
-            else:
-                row += coef * w
+            _add_scaled(W[offset], coef, w)
 
     for q, ((a, b), stencil) in zip(Q, grid.stencils.hessian.items()):
         add(q if a == b else 2.0 * q, stencil)

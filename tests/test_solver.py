@@ -14,6 +14,7 @@ from hessquot import grid as grid_mod
 from hessquot import solver as solver_mod
 from hessquot.errors import (
     HomotopyStallError,
+    LineSearchError,
     NewtonDivergenceError,
     NotAdmissibleError,
     ProblemSpecError,
@@ -553,6 +554,29 @@ def test_line_search_halves_an_overflowing_trial(monkeypatch):
     assert len(steps) - sum(s.newton_iters for s in report.stages) >= 1
 
 
+def test_no_decreasing_step_raises_line_search_error(monkeypatch, caplog):
+    # every trial is the iterate itself, so no step lowers the residual and
+    # the step halves below its floor
+    prob = _quad_problem(f"{QUAD} - 0.4*{BUMP}")
+    u, psi0 = solver_mod._start(prob), homotopy_rhs_field(prob)
+    monkeypatch.setattr(solver_mod, "_step", lambda u, delta, s: u)
+    with pytest.raises(LineSearchError) as err:
+        solver_mod._newton(u, 0.5, prob, psi0)
+    assert err.value.iterate is u
+    # the continuation counts it as a failed attempt: dt halves, until the
+    # floor stalls the walk
+    prob.homotopy = HomotopyParams(dt_init=0.1, dt_min=0.05)
+    caplog.set_level(logging.INFO, logger="hessquot.solver")
+    with pytest.raises(HomotopyStallError) as err:
+        solver_mod._continuation(prob, [])
+    assert isinstance(err.value.__cause__, LineSearchError)
+    failed = [r.getMessage() for r in caplog.records if "failed" in r.getMessage()]
+    assert failed == [
+        "stage t=0.1 failed (LineSearchError); dt -> 5.000e-02",
+        "stage t=0.05 failed (LineSearchError); dt -> 2.500e-02",
+    ]
+
+
 def test_import_leaves_the_lu_module_unloaded():
     # scipy.sparse.linalg is imported by the LU fallback when it is reached;
     # older scipy releases import it with scipy.sparse itself
@@ -600,6 +624,18 @@ def test_linear_solve_flags_singular():
     A = sparse.csr_matrix(np.array([[1.0, 2.0], [2.0, 4.0]]))
     with pytest.raises(SingularSystemError):
         linear_solve(SparseSystem(matrix=A, rhs=np.array([1.0, 1.0])))
+
+
+def test_linear_solve_flags_a_zero_matrix_with_zero_rhs():
+    # SuperLU's NaN correction meets no stored entry, so its product
+    # residual reads 0 and would pass the bound 1e-10 * ||rhs|| = 0; a
+    # non-finite correction fails all the same
+    zero = sparse.csr_matrix((2, 2))
+    with pytest.raises(SingularSystemError):
+        linear_solve(SparseSystem(matrix=zero, rhs=np.zeros(2)))
+    # a regular matrix gets the zero correction
+    delta = linear_solve(SparseSystem(matrix=sparse.eye(2, format="csr"), rhs=np.zeros(2)))
+    assert np.array_equal(delta, [0.0, 0.0])
 
 
 def _jacobian(u, prob, t):
@@ -698,6 +734,37 @@ def test_gmres_meets_rtol_on_the_true_residual(make):
     mid = b.shape[0] // 2
     singular = _with_row(sys_, mid, source=mid + 1)
     assert solver_mod._gmres(singular.matrix, b, _sine_precond(singular)) is None
+
+
+def _identity(r):
+    return r
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_gmres_cycle_breaks_down_on_a_non_finite_start_residual(bad):
+    V = np.empty((solver_mod._GMRES_RESTART + 1, 3))
+    r = np.array([1.0, bad, 0.0])
+    assert solver_mod._gmres_cycle(sparse.eye(3, format="csr"), r, _identity, 1e-12, V) is None
+
+
+def test_gmres_cycle_breaks_down_on_a_zero_arnoldi_column():
+    # the zero matrix maps the first basis vector to 0: rho = 0
+    V = np.empty((solver_mod._GMRES_RESTART + 1, 3))
+    zero = sparse.csr_matrix((3, 3))
+    assert solver_mod._gmres_cycle(zero, np.array([1.0, 0.0, 0.0]), _identity, 1e-12, V) is None
+
+
+def test_gmres_stops_on_a_cycle_breakdown(monkeypatch):
+    cycles = []
+    cycle = solver_mod._gmres_cycle
+
+    def count(*args):
+        cycles.append(cycle(*args))
+        return cycles[-1]
+
+    monkeypatch.setattr(solver_mod, "_gmres_cycle", count)
+    assert solver_mod._gmres(sparse.csr_matrix((3, 3)), np.ones(3), _identity) is None
+    assert cycles == [None]
 
 
 class _CountedMatrix:
@@ -835,6 +902,30 @@ def test_unchecked_gmres_result_is_never_returned(fake, monkeypatch):
     with pytest.raises(SingularSystemError):
         linear_solve(_with_row(sys_, mid, source=mid + 1))
     assert lu_calls == [1, 1]
+
+
+def test_indefinite_newton_systems_are_solved_by_lu(monkeypatch):
+    # psi_z < 0 makes the Jacobian indefinite: GMRES misses the gate on
+    # these res-9 systems (no coarse level), and SuperLU solves them
+    prob = ProblemSpec(
+        grid=_grid3(9), quotient=_spec31(),
+        psi=expr_mod.parse(f"sqrt(4/3) - 20*{BUMP} - 160*(u - {QUAD})", 3),
+        phi=expr_mod.parse(QUAD, 3), subsolution=expr_mod.parse(QUAD, 3),
+    )
+    unknowns = []
+    spsolve = sparse_linalg.spsolve
+
+    def spy(matrix, rhs):
+        unknowns.append(rhs.shape[0])
+        return spsolve(matrix, rhs)
+
+    monkeypatch.setattr(sparse_linalg, "spsolve", spy)
+    u, report = solve_dirichlet(prob)
+    assert report.converged and report.stages[-1].t == 1.0
+    assert any("psi_z" in w for w in report.warnings)
+    assert unknowns and set(unknowns) == {prob.grid.num_interior}
+    r = assemble_residual(u, prob, 1.0, np.zeros(prob.grid.num_interior))
+    assert np.abs(r).max() <= prob.newton.tol_residual
 
 
 # grid sequencing: the continuation on the coarsest level, one t = 1 Newton
