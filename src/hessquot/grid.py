@@ -42,8 +42,8 @@ raises NotAdmissibleError at the first node outside the cone, also where
 tau*tr(H)*I - H is not finite; it decides the cone from the margins it
 reports and runs the exact rule only where some margin fails.  Stencils
 and sigma tables pass an overflow on silently, for the cone rule to
-report.  A stage state holds psi's terms at every t; a field forcing gets
-p = None and runs no gradient stencil.
+report.  A stage state holds psi's terms at every t; a psi that reads no
+p gets p = None and runs no gradient stencil.
 """
 
 import math
@@ -537,11 +537,11 @@ def _operator_fields(values, grid, spec):
 def _residual_state(u, prob, t, psi0):
     """Stage residual at parameter t and the operator fields of u.
 
-    The one evaluation of psi at this state, at any t; a field forcing
-    gets gradients p = None, so no gradient stencil runs."""
+    The one evaluation of psi at this state, at any t; a psi that reads
+    no p gets gradients p = None, so no gradient stencil runs."""
     grid = prob.grid
     fields = _operator_fields(u.values, grid, prob.quotient)
-    p = None if prob.field_psi else interior_gradients(u.values, grid)
+    p = interior_gradients(u.values, grid) if prob.reads_gradient else None
     psi, fields.psi_z, fields.psi_p = prob.psi_terms(u.interior(), p)
     forcing = t * psi + (1.0 - t) * np.asarray(psi0, dtype=float)
     return fields.values - forcing, fields
@@ -606,7 +606,7 @@ def assemble_jacobian(prob, t, state):
     for q, ((a, b), stencil) in zip(Q, grid.stencils.hessian.items()):
         add(q if a == b else 2.0 * q, stencil)
     W[(0,) * grid.n] -= t * fields.psi_z
-    if fields.psi_p.any():
+    if prob.reads_gradient:
         for a, stencil in enumerate(grid.stencils.gradient):
             add(-t * fields.psi_p[a], stencil)
 

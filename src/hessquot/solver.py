@@ -70,11 +70,11 @@ class NewtonParams:
     max_iters: int = 50
 
     def __post_init__(self):
-        # written so that NaN fails: Newton stops once `rinf <= tol`,
-        # which a NaN tolerance never makes true
-        if not (0.0 < self.tol_residual < math.inf):
+        # written so that NaN fails: Newton stops once `rinf <= tol`, which a
+        # NaN tolerance never makes true; from 1e-100 up, linear_solve's norms cannot underflow
+        if not (1e-100 <= self.tol_residual < math.inf):
             raise ValueError(
-                f"tol_residual must be finite and > 0, got {self.tol_residual}"
+                f"tol_residual must be finite and >= 1e-100, got {self.tol_residual}"
             )
         require_integers(self, "max_iters")
         if not self.max_iters >= 1:
@@ -115,10 +115,10 @@ class ProblemSpec:
     """Everything one Dirichlet solve needs.
 
     psi may be an expression of (x, u, p) or a PsiField with one value per
-    interior node; phi and the subsolution are expressions of x alone.  The subsolution must match
-    phi on the boundary and satisfy the operator inequality
-    operator(U[subsolution]) >= psi at every interior node (checked with
-    exact symbolic derivatives at load time).
+    interior node; ``reads_gradient``, set with psi, is whether psi reads some
+    p_a.  phi and the subsolution are expressions of x alone.  The subsolution
+    must match phi on the boundary and satisfy operator(U[subsolution]) >= psi
+    at every interior node (checked with exact derivatives at load time).
     """
 
     grid: Grid
@@ -130,24 +130,30 @@ class ProblemSpec:
     homotopy: HomotopyParams = field(default_factory=HomotopyParams)
 
     def __setattr__(self, name, value):
+        # psi's contract, checked before psi is set; an expression psi and
+        # its partials are compiled into one program once per assignment
+        if name == "psi":
+            is_field = isinstance(value, PsiField)
+            if is_field and value.values.shape[0] != self.grid.num_interior:
+                raise ProblemSpecError(
+                    f"field forcing has {value.values.shape[0]} values for "
+                    f"{self.grid.num_interior} interior nodes"
+                )
+            reads = set() if is_field else expr_mod.variables(value)
+            if bad := reads - {"u", *(f"{c}{i+1}" for c in "xp" for i in range(self.grid.n))}:
+                raise ProblemSpecError(f"psi may depend on x, u and p only, found {sorted(bad)}")
+            if not is_field:
+                super().__setattr__("_psi_program", expr_mod.Program([
+                    value,
+                    expr_mod.differentiate(value, "u"),
+                    *(expr_mod.differentiate(value, f"p{i+1}") for i in range(self.grid.n)),
+                ]))
+            super().__setattr__("reads_gradient", any(v.startswith("p") for v in reads))
         super().__setattr__(name, value)
-        # psi and its partials follow psi, compiled into one program once
-        # per assignment
-        if name == "psi" and not isinstance(value, PsiField):
-            super().__setattr__("_psi_program", expr_mod.Program([
-                value,
-                expr_mod.differentiate(value, "u"),
-                *(expr_mod.differentiate(value, f"p{i+1}") for i in range(self.grid.n)),
-            ]))
 
     def __post_init__(self):
         if self.grid.n != self.quotient.n:
             raise ValueError("grid dimension and operator dimension disagree")
-        if self.field_psi and self.psi.values.shape[0] != self.grid.num_interior:
-            raise ProblemSpecError(
-                f"field forcing has {self.psi.values.shape[0]} values for "
-                f"{self.grid.num_interior} interior nodes"
-            )
         for name in ("phi", "subsolution"):
             e = getattr(self, name)
             bad = expr_mod.variables(e) - {f"x{i+1}" for i in range(self.grid.n)}
@@ -173,15 +179,14 @@ class ProblemSpec:
 
         The shapes are (N,), (N,) and (n, N), for an expression and a
         PsiField alike; an expression that faults or gives NaN raises
-        DomainFaultError.  A PsiField reads neither u nor p (p may be None):
-        its terms are its values, its read-only zero row and a view of it."""
+        DomainFaultError; p may be None for a psi that reads no p.  A
+        PsiField's terms are its values, its read-only zero row and a view of it."""
         if self.field_psi:
             field = self.psi
-            if field.values.shape[0] != u.size:
-                raise ValueError("field forcing length does not match interior size")
             return field.values, field._zero, np.broadcast_to(field._zero, (self.grid.n, u.size))
         shape = self.grid.interior_shape
-        env = expr_mod.EvalEnv(x=self.grid.axes(interior=True), u=u, p=p.reshape(-1, *shape))
+        p = None if p is None else p.reshape(-1, *shape)
+        env = expr_mod.EvalEnv(x=self.grid.axes(interior=True), u=u, p=p)
         psi, psi_z, psi_p = np.empty(u.size), np.empty(u.size), np.empty((self.grid.n, u.size))
         self._psi_program.run(env, [psi.reshape(shape), psi_z.reshape(shape), *psi_p.reshape(-1, *shape)])
         return psi, psi_z, psi_p

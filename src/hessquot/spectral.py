@@ -29,21 +29,21 @@ class EigenPair:
     vectors: np.ndarray
 
 
-def _as_symmetric(A, what="matrix"):
+def _as_symmetric(A):
     # Symmetry is enforced on construction: round-off asymmetry (QR or
     # product residue) is mirrored away, genuine asymmetry is an error.
     A = np.asarray(A, dtype=float)
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
-        raise ValueError(f"{what} must be square, got shape {A.shape}")
+        raise ValueError(f"matrix must be square, got shape {A.shape}")
     n = A.shape[-1]
     if n < 2 or n > _MAX_DIM:
-        raise ValueError(f"{what} dimension must be in [2, {_MAX_DIM}], got {n}")
+        raise ValueError(f"matrix dimension must be in [2, {_MAX_DIM}], got {n}")
     if not np.all(np.isfinite(A)):
-        raise ValueError(f"{what} contains NaN or Inf")
+        raise ValueError("matrix contains NaN or Inf")
     skew = np.abs(A - np.swapaxes(A, -1, -2)).max()
     if skew > 0.0:
         if skew > 1e-12 * (1.0 + np.abs(A).max()):
-            raise ValueError(f"{what} is not symmetric (max asymmetry {skew:.3e})")
+            raise ValueError(f"matrix is not symmetric (max asymmetry {skew:.3e})")
         A = 0.5 * (A + np.swapaxes(A, -1, -2))
     return A
 

@@ -182,6 +182,15 @@ def test_invalid_newton_params_exit_64(tmp_path, capsys, newton):
     assert not (tmp_path / "out.json").exists()
 
 
+def test_tolerance_below_the_floor_exits_64(tmp_path, capsys):
+    # below about 1e-154 the norms linear_solve's gate compares underflow
+    path = _write(tmp_path, "t.cfg", _base_config(tmp_path))
+    assert _run(path, "--tol", "1e-160") == 64
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "config" and "1e-100" in record["message"]
+    assert not (tmp_path / "out.json").exists()
+
+
 @pytest.mark.parametrize(
     "extra, flags",
     [

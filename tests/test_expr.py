@@ -21,6 +21,7 @@ from hessquot.expr import (
     to_string,
     variables,
 )
+from hessquot.grid import Grid, sample_expression
 
 
 def test_parse_basic_tree():
@@ -211,6 +212,24 @@ def test_print_parse_round_trip():
 def test_variables_collection():
     tree = parse("x1*p2 + exp(u)", 2)
     assert variables(tree) == {"x1", "p2", "u"}
+
+
+def test_variables_of_a_negation():
+    assert parse("-x1", 1) == Neg(Var("x1"))
+    assert variables(parse("-x1", 1)) == {"x1"}
+
+
+def test_power_rule_folds_a_zero_exponent():
+    # d/dx1 of x1^1 is 1*x1^0*1, and x1^0 folds to the literal 1
+    assert parse("x1^1", 1) == BinOp("^", Var("x1"), Num(1.0))
+    assert differentiate(parse("x1^1", 1), "x1") == Num(1.0)
+
+
+def test_zero_to_a_negative_power_is_a_domain_fault_on_the_grid():
+    # the grid's first axis node is x1 = 0
+    grid = Grid(n=2, lo=(0, 0), hi=(1, 1), res=5)
+    with pytest.raises(DomainFaultError, match=r"zero raised to a negative power in '\(x1\^-1.0\)'"):
+        sample_expression(parse("x1^-1", 2), grid)
 
 
 def _reference_evaluate(e, env):

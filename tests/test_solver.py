@@ -1234,9 +1234,7 @@ def test_newton_params_take_numpy_integers():
     assert params == NewtonParams(max_iters=3) and type(params.max_iters) is int
 
 
-def test_field_forcing_solve_runs_no_gradient_stencil(monkeypatch):
-    # a field forcing reads no gradients: neither the stage states nor the
-    # diagnostics compute them
+def _counting_gradients(monkeypatch):
     calls = []
     gradients = grid_mod.interior_gradients
 
@@ -1245,6 +1243,13 @@ def test_field_forcing_solve_runs_no_gradient_stencil(monkeypatch):
         return gradients(values, grid)
 
     monkeypatch.setattr(grid_mod, "interior_gradients", count)
+    return calls
+
+
+def test_field_forcing_solve_runs_no_gradient_stencil(monkeypatch):
+    # a field forcing reads no gradients: neither the stage states nor the
+    # diagnostics compute them
+    calls = _counting_gradients(monkeypatch)
     ustar = "exp((x1^2 + x2^2)/4)"
     prob, _ = manufactured_problem(
         expr_mod.parse(ustar, 2), Grid(2, (0, 0), (1, 1), 9), QuotientSpec(2, 2, 0),
@@ -1253,3 +1258,82 @@ def test_field_forcing_solve_runs_no_gradient_stencil(monkeypatch):
     _, report = solve_dirichlet(prob)
     assert report.converged and len(report.stages) > 2
     assert calls == []
+
+
+def test_newton_params_floor_the_tolerance():
+    # below about 1e-154 the norms linear_solve's gate compares underflow
+    # to 0, so a tolerance that small let the gate compare 0 with 0
+    with pytest.raises(ValueError, match="tol_residual must be finite and >= 1e-100"):
+        NewtonParams(tol_residual=1e-160)
+    assert NewtonParams(tol_residual=1e-100).tol_residual == 1e-100
+
+
+@pytest.mark.parametrize("text", ["1 + x3", "1 + 0.1*p3^2"])
+def test_psi_reading_a_missing_axis_is_a_problem_error(text):
+    # it passed construction, and the first evaluation died with an
+    # untyped IndexError
+    g = Grid(n=2, lo=(0, 0), hi=(1, 1), res=9)
+    quad = expr_mod.parse("(x1^2 + x2^2)/2", 2)
+    bad = expr_mod.parse(text, 3)
+    with pytest.raises(ProblemSpecError, match="psi may depend on x, u and p only, found"):
+        ProblemSpec(grid=g, quotient=QuotientSpec(2, 2, 0), psi=bad, phi=quad, subsolution=quad)
+    prob = ProblemSpec(grid=g, quotient=QuotientSpec(2, 2, 0), psi=expr_mod.parse("1", 2),
+                       phi=quad, subsolution=quad)
+    psi, program = prob.psi, prob._psi_program
+    with pytest.raises(ProblemSpecError, match="psi may depend on x, u and p only, found"):
+        prob.psi = bad
+    assert prob.psi is psi and prob._psi_program is program
+
+
+def test_reassigned_field_forcing_of_the_wrong_length_is_rejected():
+    # the length was checked at construction only, and a reassigned field
+    # failed in psi_terms with an untyped ValueError
+    prob, _ = manufactured_problem(expr_mod.parse(QUAD, 3), _grid3(7), _spec31())
+    psi = prob.psi
+    with pytest.raises(ProblemSpecError, match="field forcing has 5 values for 125 interior nodes"):
+        prob.psi = solver_mod.PsiField(np.ones(5))
+    assert prob.psi is psi and prob.reads_gradient is False
+
+
+def test_reads_gradient_follows_psi():
+    prob = _continuation2d(9)
+    assert prob.reads_gradient is True
+    prob.psi = solver_mod.PsiField(np.ones(prob.grid.num_interior))
+    assert prob.reads_gradient is False
+    prob.psi = expr_mod.parse("1 + u", 2)
+    assert prob.reads_gradient is False
+    prob.psi = expr_mod.parse("1 + 0*p2", 2)
+    assert prob.reads_gradient is True
+    assert replace(prob, psi=expr_mod.parse("2", 2)).reads_gradient is False
+
+
+def test_gradient_free_psi_solve_runs_no_gradient_stencil(monkeypatch):
+    # solve3d's psi reads x and u only: like a field forcing, neither the
+    # stage states nor the diagnostics compute gradients
+    calls = _counting_gradients(monkeypatch)
+    prob = _quad_problem(f"{QUAD} - 0.4*{BUMP}")
+    assert prob.reads_gradient is False
+    u, report = solve_dirichlet(prob)
+    assert report.converged and len(report.stages) > 2
+    assert report.diagnostics.all_ok()
+    assert calls == []
+    block = u.interior()
+    P = grid_mod.interior_gradients(u.values, prob.grid)
+    for with_p, without in zip(prob.psi_terms(block, P), prob.psi_terms(block, None)):
+        assert np.array_equal(with_p, without)
+
+
+def test_psi_reading_p_with_zero_partials_still_computes_gradients(monkeypatch):
+    # 1 + 0*p1-style terms have literal-0 partials, but their value still
+    # looks up p: gradients run, and the weights assembly adds are +-0, so
+    # the path and the solution are those of the p-free psi
+    reference, ref_report = solve_dirichlet(_quad_problem(f"{QUAD} - 0.4*{BUMP}"))
+    calls = _counting_gradients(monkeypatch)
+    prob = _quad_problem(f"{QUAD} - 0.4*{BUMP}")
+    prob.psi = expr_mod.parse(f"sqrt(4/3) + 0.5*(u - {QUAD}) + 0*p1", 3)
+    assert prob.reads_gradient is True
+    u, report = solve_dirichlet(prob)
+    assert report.converged and report.stages[-1].t == 1.0
+    assert len(calls) > len(report.stages)
+    assert np.array_equal(u.values, reference.values)
+    assert report.stages == ref_report.stages
