@@ -151,10 +151,11 @@ class Grid:
     @cached_property
     def coarse(self):
         """The grid of the same box with res // 2 + 1 nodes per axis (every
-        other node when res is odd), or None when that is fewer than 13.
-        Cached, so its own cached data outlives a solve."""
+        other node when res is odd), or None when that has fewer than 121
+        interior nodes: what a level saves grows with its unknowns, not with
+        its nodes per axis.  Cached, so its own cached data outlives a solve."""
         res = self.res // 2 + 1
-        return replace(self, res=res) if res >= 13 else None
+        return replace(self, res=res) if (res - 2) ** self.n >= 121 else None
 
     @cached_property
     def stencils(self):

@@ -24,12 +24,13 @@ That walk is needed once, on the coarsest grid (grid sequencing, or
 nested iteration: Newton iteration counts are asymptotically
 mesh-independent, Allgower, Boehmer, Potra & Rheinboldt, SIAM J. Numer.
 Anal. 1986).  ``Grid.coarse`` has res // 2 + 1 nodes per axis while that
-is at least 13 (a subset of the nodes only for odd res); the continuation
-runs on the coarsest grid of that chain, and each finer grid runs one
-Newton solve at t = 1 from the ``_transfer`` of the solution below,
-boundary reset to phi.  Any failure on the way up makes the solver walk
-the continuation once more, from the subsolution on the target grid, so
-a failed solve always reports an iterate on the target grid.
+leaves at least 121 interior nodes (res 13 in 2-D, 7 in 3-D: what a level
+saves grows with its unknowns); the continuation runs on the coarsest grid
+of that chain, and each finer grid runs one Newton solve at t = 1 from
+the ``_transfer`` of the solution below, boundary reset to phi.  Any
+failure on the way up makes the solver walk the continuation once more,
+from the subsolution on the target grid, so a failed solve always reports
+an iterate on the target grid.
 """
 
 import copy

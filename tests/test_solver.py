@@ -422,10 +422,11 @@ def test_homotopy_rhs_field_quadratic_closed_form():
     assert np.allclose(psi0, np.sqrt(4 / 3), rtol=1e-14)
 
 
-def _quad_problem(subsolution):
-    # 3-D (3,1) at res 9 with exact solution QUAD and an increasing psi
+def _quad_problem(subsolution, res=9):
+    # 3-D (3,1) with exact solution QUAD and an increasing psi: the solve3d
+    # benchmark's problem at res 21 with subsolution QUAD - 0.4*BUMP
     return ProblemSpec(
-        grid=_grid3(9), quotient=_spec31(),
+        grid=_grid3(res), quotient=_spec31(),
         psi=expr_mod.parse(f"sqrt(4/3) + 0.5*(u - {QUAD})", 3),
         phi=expr_mod.parse(QUAD, 3), subsolution=expr_mod.parse(subsolution, 3),
     )
@@ -906,7 +907,8 @@ def test_unchecked_gmres_result_is_never_returned(fake, monkeypatch):
 
 def test_indefinite_newton_systems_are_solved_by_lu(monkeypatch):
     # psi_z < 0 makes the Jacobian indefinite: GMRES misses the gate on
-    # these res-9 systems (no coarse level), and SuperLU solves them
+    # these res-9 systems (no coarse level: 27 interior nodes at res 5),
+    # and SuperLU solves them
     prob = ProblemSpec(
         grid=_grid3(9), quotient=_spec31(),
         psi=expr_mod.parse(f"sqrt(4/3) - 20*{BUMP} - 160*(u - {QUAD})", 3),
@@ -922,6 +924,7 @@ def test_indefinite_newton_systems_are_solved_by_lu(monkeypatch):
     monkeypatch.setattr(sparse_linalg, "spsolve", spy)
     u, report = solve_dirichlet(prob)
     assert report.converged and report.stages[-1].t == 1.0
+    assert _levels(report) == [(9, None)]
     assert any("psi_z" in w for w in report.warnings)
     assert unknowns and set(unknowns) == {prob.grid.num_interior}
     r = assemble_residual(u, prob, 1.0, np.zeros(prob.grid.num_interior))
@@ -950,12 +953,16 @@ def _newton_failing_on(res):
     return newton
 
 
-@pytest.mark.parametrize(
-    "res, coarse", [(97, 49), (25, 13), (24, 13), (23, None), (21, None)]
-)
-def test_coarse_level_condition(res, coarse):
-    # res // 2 + 1 >= 13, at any parity
-    found = solver_mod._coarse_problem(_continuation2d(res))
+@pytest.mark.parametrize("n, res, coarse", [
+    (2, 97, 49), (2, 25, 13), (2, 24, 13), (2, 23, None), (2, 21, None),
+    (3, 21, 11), (3, 17, 9), (3, 13, 7), (3, 12, 7), (3, 11, None), (3, 9, None),
+], ids=["97-49", "25-13", "24-13", "23-None", "21-None",
+        "3d-21-11", "3d-17-9", "3d-13-7", "3d-12-7", "3d-11-None", "3d-9-None"])
+def test_coarse_level_condition(n, res, coarse):
+    # (res // 2 - 1) ** n >= 121 interior nodes, at any parity: res // 2 + 1
+    # >= 13 in 2-D and >= 7 in 3-D
+    prob = _continuation2d(res) if n == 2 else _quad_problem(QUAD, res)
+    found = solver_mod._coarse_problem(prob)
     assert (None if found is None else found.grid.res) == coarse
 
 
@@ -1021,16 +1028,33 @@ def test_sequenced_solve_matches_single_grid_2d():
     assert report.stages[-1].newton_iters <= 3
 
 
+@pytest.mark.parametrize("res, levels", [
+    (21, [(11, None), (21, None)]),
+    (25, [(7, None), (13, None), (25, None)]),
+], ids=["21", "25"])
 @pytest.mark.parametrize("k, l", [(3, 1), (2, 0)])
-def test_sequenced_solve_matches_single_grid_3d(k, l):
+def test_sequenced_solve_matches_single_grid_3d(k, l, res, levels):
     prob, _ = manufactured_problem(
-        expr_mod.parse(SMOOTH3, 3), _grid3(25), QuotientSpec(3, k, l),
+        expr_mod.parse(SMOOTH3, 3), _grid3(res), QuotientSpec(3, k, l),
         subsolution=expr_mod.parse(f"{SMOOTH3} - 0.55*{BUMP}", 3),
     )
     u, report = solve_dirichlet(prob)
     ref, _ = _solve_single_grid(prob)
     assert np.abs(u.values - ref.values).max() <= 1e-10
-    assert _levels(report) == [(13, None), (25, None)]
+    assert _levels(report) == levels
+    assert {s.res for s in report.stages if s.t < 1.0} == {levels[0][0]}
+
+
+def test_solve3d_problem_is_sequenced_from_res_11():
+    # the cubic transfer reproduces the quadratic solution exactly, so the
+    # res-21 level starts on its answer
+    prob = _quad_problem(f"{QUAD} - 0.4*{BUMP}", 21)
+    u, report = solve_dirichlet(prob)
+    assert report.converged
+    assert _levels(report) == [(11, None), (21, None)]
+    assert (report.stages[-1].res, report.stages[-1].newton_iters) == (21, 0)
+    exact = sample_expression(prob.phi, prob.grid)
+    assert np.abs(u.values - exact.values).max() <= 1e-8
 
 
 @pytest.mark.parametrize(
@@ -1059,10 +1083,10 @@ def test_transfer_is_exact_on_per_axis_cubics(ustar, lo, hi, res_from, res_to, i
     (lambda: manufactured_problem(
         expr_mod.parse(SMOOTH3, 3), _grid3(26), QuotientSpec(3, 3, 1),
         subsolution=expr_mod.parse(f"{SMOOTH3} - 0.55*{BUMP}", 3),
-    )[0], [(14, None), (26, None)]),
+    )[0], [(8, None), (14, None), (26, None)]),
 ], ids=["2d-24", "3d-26"])
 def test_even_resolution_is_sequenced_to_the_single_grid_answer(make, levels):
-    # 24 -> 13 and 26 -> 14 are non-nested steps
+    # 24 -> 13, 26 -> 14 and 14 -> 8 are non-nested steps
     prob = make()
     u, report = solve_dirichlet(prob)
     ref, _ = _solve_single_grid(prob)
@@ -1101,13 +1125,17 @@ def test_inadmissible_prolongation_falls_back(monkeypatch):
     assert np.array_equal(u.values, ref.values)
 
 
-def test_coarse_stall_falls_back_and_converges(monkeypatch):
-    prob = _continuation2d(49)
-    monkeypatch.setattr(solver_mod, "_newton", _newton_failing_on(13))
+@pytest.mark.parametrize("make, coarsest", [
+    (lambda: _continuation2d(49), 13),
+    (lambda: _quad_problem(f"{QUAD} - 0.4*{BUMP}", 21), 11),
+], ids=["2d-49", "3d-21"])
+def test_coarse_stall_falls_back_and_converges(monkeypatch, make, coarsest):
+    prob = make()
+    monkeypatch.setattr(solver_mod, "_newton", _newton_failing_on(coarsest))
     u, report = solve_dirichlet(prob)
     assert report.converged
     # the coarse stall sends the solve straight to the target grid
-    assert _levels(report) == [(49, "HomotopyStallError")]
+    assert _levels(report) == [(prob.grid.res, "HomotopyStallError")]
     r = assemble_residual(u, prob, 1.0, np.zeros(prob.grid.num_interior))
     assert np.abs(r).max() <= prob.newton.tol_residual
     ref, _ = _solve_single_grid(prob)
